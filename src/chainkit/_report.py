@@ -8,6 +8,7 @@ produce byte-identical reports.
 from __future__ import annotations
 
 import math
+from json.encoder import encode_basestring
 
 import numpy as np
 
@@ -30,7 +31,8 @@ def _render(obj, out: list) -> None:
         else:
             out.append(f"{x:.17g}")
     elif isinstance(obj, str):
-        out.append('"' + obj.replace("\\", "\\\\").replace('"', '\\"') + '"')
+        # the string encoder of json.dumps(obj, ensure_ascii=False)
+        out.append(encode_basestring(obj))
     elif isinstance(obj, dict):
         out.append("{")
         for i, k in enumerate(sorted(obj, key=str)):

@@ -40,15 +40,15 @@ class ProximityIndex:
         edges = sp.csr_matrix(np.where(adj, space.dist, 0.0))
         return cls(space=space, epsilon=epsilon, edges=edges)
 
-    def shortest_paths(self, source: int, weighted: bool = True):
-        dist, pred = csgraph.dijkstra(
-            self.edges, directed=False, indices=source,
+    def shortest_paths(self, sources, weighted: bool = True):
+        """Distances and predecessors from ``sources`` in one Dijkstra call.
+
+        An int gives 1-D rows; an array of sources gives one row per source.
+        """
+        return csgraph.dijkstra(
+            self.edges, directed=False, indices=sources,
             return_predecessors=True, unweighted=not weighted,
         )
-        return dist, pred
-
-    def component_labels(self) -> np.ndarray:
-        return csgraph.connected_components(self.edges, directed=False)[1]
 
 
 @dataclass
@@ -160,6 +160,9 @@ def main_inequality_scan(space: FiniteMetricMeasureSpace, psi, pairs,
     are counted and skipped.  Also tabulates psi(eps) d_eps / eps per eps (the
     vanishing functional whose trend is reported, not its limit).
     """
+    xs, ys = np.asarray(pairs, dtype=int).reshape(-1, 2).T
+    sources, rows = np.unique(xs, return_inverse=True)
+    d = space.dist[xs, ys]
     worst = 0.0
     argmax = None
     table = []
@@ -167,30 +170,26 @@ def main_inequality_scan(space: FiniteMetricMeasureSpace, psi, pairs,
     skipped = 0
     for eps in epsilons:
         index = ProximityIndex.build(space, eps)
-        cache: dict[int, np.ndarray] = {}
+        d_eps = index.shortest_paths(sources, weighted=True)[0][rows, ys]
+        keep = np.flatnonzero((d >= eps) & np.isfinite(d_eps))
+        skipped += xs.size - keep.size
+        if not keep.size:
+            continue
+        psi_eps, eps_f = psi(eps), float(eps)
         trend_max = 0.0
-        any_pair = False
-        for x, y in pairs:
-            d = space.dist[x, y]
-            if d < eps:
-                skipped += 1
-                continue
-            if x not in cache:
-                cache[x] = index.shortest_paths(x, weighted=True)[0]
-            d_eps = float(cache[x][y])
-            if math.isinf(d_eps):
-                skipped += 1
-                continue
-            ratio = (d_eps ** 2 / eps ** 2) / (psi(d) / psi(eps))
-            table.append({"x": int(x), "y": int(y), "eps": float(eps),
-                          "d": float(d), "d_eps": d_eps, "ratio": ratio})
-            trend_max = max(trend_max, psi(eps) * d_eps / eps)
-            any_pair = True
+        # Python floats per row: an array's ** 2 can differ from a scalar's
+        # by one ulp
+        for x, y, dist, chain, psi_d in zip(
+                xs[keep].tolist(), ys[keep].tolist(), d[keep].tolist(),
+                d_eps[keep].tolist(), psi(d[keep]).tolist()):
+            ratio = (chain ** 2 / eps ** 2) / (psi_d / psi_eps)
+            table.append({"x": x, "y": y, "eps": eps_f, "d": dist,
+                          "d_eps": chain, "ratio": ratio})
+            trend_max = max(trend_max, psi_eps * chain / eps)
             if ratio > worst:
                 worst = ratio
-                argmax = (float(eps), int(x), int(y))
-        if any_pair:
-            trend.append({"eps": float(eps), "max_vanishing_functional": trend_max})
+                argmax = (eps_f, x, y)
+        trend.append({"eps": eps_f, "max_vanishing_functional": trend_max})
     return {"worst_ratio": worst, "argmax": argmax, "table": table,
             "trend": trend, "skipped": skipped}
 
@@ -200,28 +199,27 @@ def chain_condition_estimate(space: FiniteMetricMeasureSpace, epsilons,
     """K_hat = max over eps and pairs of d_eps(x, y) / d(x, y).
 
     Disconnection at some eps is reported as an infinite K_hat together with
-    the offending scale.
+    the offending scale and the first disconnected pair.
     """
     if pairs is None:
-        pairs = [(i, j) for i in range(space.n) for j in range(i + 1, space.n)]
+        pairs = np.transpose(np.triu_indices(space.n, 1))
+    xs, ys = np.asarray(pairs, dtype=int).reshape(-1, 2).T
+    xs, ys = xs[xs != ys], ys[xs != ys]
+    sources, rows = np.unique(xs, return_inverse=True)
+    d = space.dist[xs, ys]
     K_hat = 1.0
     argmax = None
     for eps in epsilons:
         index = ProximityIndex.build(space, eps)
-        cache: dict[int, np.ndarray] = {}
-        for x, y in pairs:
-            if x == y:
-                continue
-            if x not in cache:
-                cache[x] = index.shortest_paths(x, weighted=True)[0]
-            d_eps = float(cache[x][y])
-            if math.isinf(d_eps):
-                return {"K_hat": math.inf, "disconnected_at": float(eps),
-                        "argmax": (float(eps), int(x), int(y))}
-            ratio = d_eps / space.dist[x, y]
-            if ratio > K_hat:
-                K_hat = ratio
-                argmax = (float(eps), int(x), int(y))
+        ratio = index.shortest_paths(sources, weighted=True)[0][rows, ys] / d
+        cut = np.flatnonzero(np.isinf(ratio))
+        if cut.size:
+            return {"K_hat": math.inf, "disconnected_at": float(eps),
+                    "argmax": (float(eps), int(xs[cut[0]]), int(ys[cut[0]]))}
+        if ratio.size and ratio.max() > K_hat:
+            k = int(np.argmax(ratio))
+            K_hat = float(ratio[k])
+            argmax = (float(eps), int(xs[k]), int(ys[k]))
     return {"K_hat": K_hat, "disconnected_at": None, "argmax": argmax}
 
 

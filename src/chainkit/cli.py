@@ -7,7 +7,6 @@ did not hold), 1 on usage or input errors.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 
 import numpy as np
@@ -51,23 +50,19 @@ def _config_echo(args: argparse.Namespace) -> dict:
 
 
 def _emit(args, payload: dict) -> None:
-    text = dumps(payload)
     report = getattr(args, "report", None)
     if report:
         write_report(payload, report)
         if not args.json_only:
             print(f"report written to {report}")
     else:
-        print(text)
+        print(dumps(payload))
 
 
 def build_parser() -> _Parser:
     parser = _Parser(prog="chainkit")
     parser.add_argument("--json-only", action="store_true",
                         help="suppress human-readable output")
-    parser.add_argument("--threads", type=int,
-                        default=int(os.environ.get("CHAINKIT_THREADS", "0")) or None,
-                        help="parallelism degree (default: available cores)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("chain", help="chain metrics and inequality scans")
@@ -278,14 +273,6 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        if args.threads:
-            try:
-                from threadpoolctl import threadpool_limits
-
-                with threadpool_limits(limits=args.threads):
-                    return args.func(args)
-            except ImportError:
-                pass
         return args.func(args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

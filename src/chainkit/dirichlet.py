@@ -176,38 +176,6 @@ def capacity(form: GraphDirichletForm, A, B) -> tuple[float, np.ndarray]:
     return energy(form, f), f
 
 
-def capacity_upper_scan(form, psi, radii, A1: float = 2.0, A2: float = 2.0,
-                        centers=None) -> dict:
-    """Scan Cap(B(x,R), B(x, A1*R)^c) * Psi(R) / m(B(x,R)) over centers/radii.
-
-    Returns the worst (largest) constant observed, its arg-max, and the
-    per-(center, radius) table.  Radii at or above diam/A2 are skipped.
-    """
-    dist = form.geodesic_distances()
-    diam = float(dist[np.isfinite(dist)].max())
-    m = form.vertex_measure
-    if centers is None:
-        centers = range(form.n)
-    rows = []
-    best = 0.0
-    best_at = None
-    for R in radii:
-        if R >= diam / A2:
-            continue
-        for x in centers:
-            ball = np.flatnonzero(dist[x] < R)
-            outside = np.flatnonzero(dist[x] >= A1 * R)
-            if outside.size == 0:
-                continue
-            cap, _ = capacity(form, ball, outside)
-            const = cap * psi(R) / m[ball].sum()
-            rows.append({"center": int(x), "radius": float(R),
-                         "capacity": cap, "constant": const})
-            if const > best:
-                best, best_at = const, (int(x), float(R))
-    return {"best_constant": best, "argmax": best_at, "table": rows}
-
-
 def truncated_maximal(target, nu: np.ndarray, x: int, R: float,
                       dist_row: np.ndarray | None = None) -> float:
     """sup over 0 < r < R of nu(B(x,r)) / m(B(x,r)) (strict balls).

@@ -265,30 +265,6 @@ def generalized_estimate_eval(table: HeatKernelTable, space, psi, phi,
             "exponent": float(exponent), "prefactor": p * V}
 
 
-def generalized_estimate_scan(table: HeatKernelTable, space, psi, phi,
-                              pairs, times) -> dict:
-    """Aggregate the per-(pair, time) report into bracketing constants.
-
-    Fits -log(p V) = c * exponent + const by least squares and reports the
-    tightest uniform prefactors around that envelope.
-    """
-    rows = []
-    for x, y in pairs:
-        for t in times:
-            row = generalized_estimate_eval(table, space, psi, phi, x, y, t)
-            row.update({"x": int(x), "y": int(y), "t": float(t)})
-            rows.append(row)
-    E = np.array([r["exponent"] for r in rows])
-    logpv = np.array([math.log(max(r["prefactor"], 1e-300)) for r in rows])
-    if np.ptp(E) > 0:
-        c_fit = float(np.polyfit(E, -logpv, 1)[0])
-    else:
-        c_fit = 0.0
-    offsets = logpv + c_fit * E
-    return {"c_fit": c_fit, "C_upper": float(np.exp(offsets.max())),
-            "c_lower": float(np.exp(offsets.min())), "table": rows}
-
-
 def sierpinski_gasket_graph(level: int) -> GraphDirichletForm:
     """Level-k pre-fractal gasket graph with unit conductances and masses.
 

@@ -40,6 +40,8 @@ class FiniteMetricMeasureSpace:
             raise SpaceError("distance matrix must be square")
         if self.measure.shape != (n,):
             raise SpaceError("measure vector has wrong length")
+        if not (np.isfinite(self.dist).all() and np.isfinite(self.measure).all()):
+            raise SpaceError("distances and measure weights must be finite numbers")
         if (self.measure <= 0).any():
             raise SpaceError("all measure weights must be strictly positive")
         if not np.array_equal(self.dist, self.dist.T):
@@ -163,15 +165,16 @@ def doubling_constant(space: FiniteMetricMeasureSpace) -> float:
     # the ratio changes only when r or 2r crosses a distance value, and the
     # worst ratio on each constancy interval is realized at its left end +
     candidates = np.unique(np.concatenate([pos / 2.0, pos]))
+    if not candidates.size:
+        return best
     for x in range(space.n):
         order = np.argsort(space.dist[x])
         d = space.dist[x][order]
         vol = np.cumsum(space.measure[order])
-        for r in candidates:
-            # realize balls at radius r+: {dist <= r}
-            i_r = np.searchsorted(d, r, side="right")
-            i_2r = np.searchsorted(d, 2 * r, side="right")
-            best = max(best, vol[i_2r - 1] / vol[i_r - 1])
+        # realize balls at radius r+: {dist <= r}
+        i_r = np.searchsorted(d, candidates, side="right")
+        i_2r = np.searchsorted(d, 2 * candidates, side="right")
+        best = max(best, float(np.max(vol[i_2r - 1] / vol[i_r - 1])))
     return best
 
 

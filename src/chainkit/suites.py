@@ -23,17 +23,6 @@ def _check(name, ok, **extra):
     return {"name": name, "ok": bool(ok), **extra}
 
 
-def _all_pairs_chain(space, eps):
-    index = ch.ProximityIndex.build(space, eps)
-    n = space.n
-    d_eps = np.empty((n, n))
-    hops = np.empty((n, n))
-    for x in range(n):
-        d_eps[x] = index.shortest_paths(x, weighted=True)[0]
-        hops[x] = index.shortest_paths(x, weighted=False)[0]
-    return d_eps, hops
-
-
 def _sandwich_violations(space, eps, d_eps, hops):
     i, j = np.triu_indices(space.n, 1)
     finite = np.isfinite(d_eps[i, j])
@@ -54,7 +43,9 @@ def suite_geodesic() -> dict:
         identity_ok = True
         sandwich_bad = 0
         for eps in eps_grid:
-            d_eps, hops = _all_pairs_chain(space, float(eps))
+            index = ch.ProximityIndex.build(space, float(eps))
+            d_eps = index.shortest_paths(np.arange(space.n), weighted=True)[0]
+            hops = index.shortest_paths(np.arange(space.n), weighted=False)[0]
             if not np.array_equal(d_eps, space.dist):
                 identity_ok = False
             sandwich_bad += _sandwich_violations(space, float(eps), d_eps, hops)
@@ -76,7 +67,9 @@ def suite_snowflake(beta: float = 3.0) -> dict:
     sandwich_bad = 0
     for eps in eps_grid:
         eps = float(eps)
-        d_eps, hops = _all_pairs_chain(space, eps)
+        index = ch.ProximityIndex.build(space, eps)
+        d_eps = index.shortest_paths(np.arange(space.n), weighted=True)[0]
+        hops = index.shortest_paths(np.arange(space.n), weighted=False)[0]
         sandwich_bad += _sandwich_violations(space, eps, d_eps, hops)
         i, j = np.triu_indices(space.n, 1)
         d = space.dist[i, j]
@@ -130,7 +123,9 @@ def suite_gasket() -> dict:
     gasket_space = sp.space_from_graph(ht.sierpinski_gasket_graph(4))
     sandwich_bad = 0
     for eps in np.geomspace(1.5, gasket_space.diameter(), 5):
-        d_eps, hops = _all_pairs_chain(gasket_space, float(eps))
+        index = ch.ProximityIndex.build(gasket_space, float(eps))
+        d_eps = index.shortest_paths(np.arange(gasket_space.n), weighted=True)[0]
+        hops = index.shortest_paths(np.arange(gasket_space.n), weighted=False)[0]
         sandwich_bad += _sandwich_violations(gasket_space, float(eps), d_eps, hops)
     checks.append(_check("gasket-4 chain sandwich", sandwich_bad == 0,
                          violations=sandwich_bad))

@@ -1,5 +1,6 @@
 import math
 
+import networkx as nx
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -94,6 +95,66 @@ def test_chain_condition_estimate_disconnection():
     rep = ch.chain_condition_estimate(space, [0.5])
     assert math.isinf(rep["K_hat"])
     assert rep["disconnected_at"] == 0.5
+
+
+def _nx_proximity(space, eps):
+    graph = nx.Graph()
+    graph.add_nodes_from(range(space.n))
+    i, j = np.nonzero(np.triu(space.dist < eps, 1))
+    graph.add_weighted_edges_from((a, b, space.dist[a, b])
+                                  for a, b in zip(i.tolist(), j.tolist()))
+    return graph
+
+
+def test_chain_engine_matches_networkx():
+    rng = np.random.default_rng(1)
+    space = sp.build_space({"type": "euclidean",
+                            "coords": rng.uniform(0, 1, (30, 2)).tolist()})
+    psi = power_scale(2.0)
+    # repeated sources and both orientations of a pair
+    pairs = [tuple(int(v) for v in rng.choice(10, 2, replace=False)) for _ in range(40)]
+    connected, disconnected = 0.3, 0.2
+    d_nx, hops_nx = {}, {}
+    for eps in (connected, disconnected):
+        graph = _nx_proximity(space, eps)
+        assert nx.is_connected(graph) == (eps == connected)
+        d_nx[eps] = np.full((space.n, space.n), math.inf)
+        hops_nx[eps] = np.full((space.n, space.n), math.inf)
+        for x, row in nx.all_pairs_dijkstra_path_length(graph):
+            for y, v in row.items():
+                d_nx[eps][x, y] = v
+        for x, row in nx.all_pairs_shortest_path_length(graph):
+            for y, v in row.items():
+                hops_nx[eps][x, y] = v
+
+        hops = ch.ProximityIndex.build(space, eps).shortest_paths(
+            np.arange(space.n), weighted=False)[0]
+        assert np.array_equal(hops, hops_nx[eps])
+
+        scan = ch.main_inequality_scan(space, psi, pairs, [eps])
+        expected = [(x, y) for x, y in pairs
+                    if space.dist[x, y] >= eps and math.isfinite(d_nx[eps][x, y])]
+        assert 0 < len(expected) < len(pairs)
+        assert scan["skipped"] == len(pairs) - len(expected)
+        assert [(r["x"], r["y"]) for r in scan["table"]] == expected
+        for r in scan["table"]:
+            d_eps = d_nx[eps][r["x"], r["y"]]
+            assert r["d_eps"] == pytest.approx(d_eps, rel=1e-12)
+            assert r["ratio"] == pytest.approx(
+                (d_eps / eps) ** 2 / (r["d"] / eps) ** 2, rel=1e-12)
+
+    ratio = {(x, y): d_nx[connected][x, y] / space.dist[x, y] for x, y in pairs}
+    worst = max(ratio, key=ratio.get)
+    rep = ch.chain_condition_estimate(space, [connected], pairs)
+    assert rep["K_hat"] == pytest.approx(ratio[worst], rel=1e-12)
+    assert rep["argmax"] == (connected, *worst)
+    assert rep["disconnected_at"] is None
+
+    rep = ch.chain_condition_estimate(space, [connected, disconnected], pairs)
+    first_cut = next((x, y) for x, y in pairs if math.isinf(d_nx[disconnected][x, y]))
+    assert math.isinf(rep["K_hat"])
+    assert rep["disconnected_at"] == disconnected
+    assert rep["argmax"] == (disconnected, *first_cut)
 
 
 def test_d_eps_step_function_on_line():

@@ -2,8 +2,10 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 import chainkit.space as sp
+from chainkit._report import dumps
 from chainkit.cli import main
 from chainkit.dirichlet import path_graph, save_graph_csv
 
@@ -75,6 +77,17 @@ def test_chain_report_is_deterministic(line_space, tmp_path, capsys):
         assert main(["--json-only", "chain", "--space", line_space,
                      "--eps", "1.5,2.5", "--report", str(r)]) == 0
     assert r1.read_bytes() == r2.read_bytes()
+
+
+_json_values = st.recursive(
+    st.text() | st.integers() | st.floats(allow_nan=False, allow_infinity=False),
+    lambda inner: st.lists(inner) | st.dictionaries(st.text(), inner),
+)
+
+
+@given(_json_values)
+def test_dumps_round_trips_through_json(obj):
+    assert json.loads(dumps(obj)) == obj
 
 
 def test_net_subcommand(line_space, capsys):

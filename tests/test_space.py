@@ -38,6 +38,14 @@ def test_measure_must_be_positive():
     with pytest.raises(sp.SpaceError):
         sp.build_space({"type": "euclidean", "coords": [0.0, 1.0],
                         "measure": [1.0, 0.0]})
+    with pytest.raises(sp.SpaceError, match="finite"):
+        sp.build_space({"type": "euclidean", "coords": [0.0, 1.0],
+                        "measure": [1.0, float("nan")]})
+
+
+def test_nan_coordinate_is_rejected():
+    with pytest.raises(sp.SpaceError, match="finite"):
+        sp.build_space({"type": "euclidean", "coords": [0.0, float("nan"), 2.0]})
 
 
 def test_space_from_graph_is_geodesic():
