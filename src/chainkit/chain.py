@@ -229,18 +229,30 @@ def d_eps_step_function(space: FiniteMetricMeasureSpace, x: int, y: int):
     Returns (breaks, values): d_eps equals values[k] on the interval
     (breaks[k], breaks[k+1]] and values[-1] for eps > breaks[-1].  The breaks
     are the distinct positive pairwise distances, where proximity edges
-    appear.
+    appear, so on interval k the edge set is {d <= breaks[k]}.
+
+    The intervals are walked from the top, one step of d_eps at a time.  The
+    optimal witness at interval k has longest hop breaks[j]; each edge set
+    {d <= breaks[i]}, j <= i <= k, keeps that witness and adds no path, so
+    d_eps is the same float on all of them and the walk jumps to j - 1.  It
+    stops at the first disconnected interval: the ones below are too.
     """
+    _check_ids(space, x, y)
     breaks = space.critical_radii()
     breaks = breaks[breaks > 0]
-    values = []
-    for k in range(breaks.size):
-        upper = breaks[k + 1] if k + 1 < breaks.size else breaks[k] * 2 + 1
-        # on (breaks[k], breaks[k+1]] the edge set is {d <= breaks[k]}
-        index = ProximityIndex.build(space, 0.5 * (breaks[k] + upper))
-        d_eps, _ = chain_metric(space, index.epsilon, x, y, index)
-        values.append(d_eps)
-    return breaks, np.array(values)
+    if x == y:
+        return breaks, np.zeros(breaks.size)
+    values = np.full(breaks.size, math.inf)
+    k = breaks.size - 1
+    while k >= 0:
+        index = ProximityIndex.build(space, np.nextafter(breaks[k], math.inf))
+        d_eps, witness = chain_metric(space, index.epsilon, x, y, index)
+        if math.isinf(d_eps):
+            break
+        j = int(np.searchsorted(breaks, space.dist[witness[:-1], witness[1:]].max()))
+        values[j:k + 1] = d_eps
+        k = j - 1
+    return breaks, values
 
 
 def epsilon_of_t(space: FiniteMetricMeasureSpace, psi, x: int, y: int,

@@ -276,7 +276,8 @@ def _load_csv(path) -> np.ndarray:
 def load_graph_csv(edge_path, vertex_path=None) -> GraphDirichletForm:
     """Read an edge list "u,v,conductance[,length]" and optional "id,measure" file.
 
-    A single header line is tolerated in either file.
+    A single header line is tolerated in either file.  Vertex ids must be
+    nonnegative and each edge may be listed once, in either orientation.
     """
     rows = np.atleast_2d(_load_csv(edge_path))
     if rows.shape[1] not in (3, 4):
@@ -284,6 +285,11 @@ def load_graph_csv(edge_path, vertex_path=None) -> GraphDirichletForm:
     u = rows[:, 0].astype(int)
     v = rows[:, 1].astype(int)
     c = rows[:, 2]
+    if min(u.min(), v.min()) < 0:
+        raise DirichletFormError("edge file has a negative vertex id")
+    ends = np.sort(np.stack([u, v], axis=1), axis=1)
+    if np.unique(ends, axis=0).shape[0] < ends.shape[0]:
+        raise DirichletFormError("edge file lists an edge more than once")
     n = int(max(u.max(), v.max())) + 1
     w = sp.coo_matrix((np.r_[c, c], (np.r_[u, v], np.r_[v, u])), shape=(n, n)).tocsr()
     lengths = None
@@ -294,7 +300,10 @@ def load_graph_csv(edge_path, vertex_path=None) -> GraphDirichletForm:
     measure = np.ones(n)
     if vertex_path is not None:
         vrows = np.atleast_2d(_load_csv(vertex_path))
-        measure[vrows[:, 0].astype(int)] = vrows[:, 1]
+        ids = vrows[:, 0].astype(int)
+        if ((ids < 0) | (ids >= n)).any():
+            raise DirichletFormError(f"vertex file has an id outside 0..{n - 1}")
+        measure[ids] = vrows[:, 1]
     return GraphDirichletForm(w, measure, lengths)
 
 

@@ -186,29 +186,26 @@ def uniform_perfectness(space: FiniteMetricMeasureSpace) -> dict:
     """
     if space.n < 2:
         raise SpaceError("uniform perfectness needs at least two points")
-    holds = True
     worst = None
     required_C = 1.0
     for x in range(space.n):
         d = np.unique(space.dist[x])
         pos = d[d > 0]
-        r_min, r_max = pos.min(), pos.max()
         # the predicate changes only when r or r/2 crosses a distance value
         breaks = np.unique(np.concatenate([pos, 2 * pos]))
         mids = 0.5 * (breaks[:-1] + breaks[1:])
-        candidates = np.unique(np.concatenate([breaks, mids]))
-        candidates = candidates[(candidates > r_min) & (candidates <= r_max)]
-        for r in candidates:
-            inside = pos[pos < r]
-            if inside.size == len(pos):
-                continue  # B(x, r) == X
-            if not ((pos >= r / 2) & (pos < r)).any():
-                holds = False
-                if worst is None:
-                    worst = (int(x), float(r))
-            if inside.size:
-                required_C = max(required_C, r / inside.max())
-    return {"holds_at_2": holds, "worst_scale": worst, "required_C": required_C}
+        r = np.unique(np.concatenate([breaks, mids]))
+        r = r[(r > pos[0]) & (r <= pos[-1])]
+        # |{pos < r}| >= 1 since r > pos[0]; the annulus [r/2, r) holds
+        # |{pos < r}| - |{pos < r/2}| distances
+        inside = np.searchsorted(pos, r, side="left")
+        proper = inside < pos.size  # B(x, r) != X
+        empty = proper & (inside == np.searchsorted(pos, r / 2, side="left"))
+        if worst is None and empty.any():
+            worst = (x, float(r[np.argmax(empty)]))
+        if proper.any():
+            required_C = max(required_C, float(np.max(r[proper] / pos[inside[proper] - 1])))
+    return {"holds_at_2": worst is None, "worst_scale": worst, "required_C": required_C}
 
 
 @dataclass

@@ -157,6 +157,49 @@ def test_chain_engine_matches_networkx():
     assert rep["argmax"] == (disconnected, *first_cut)
 
 
+def _nx_d_eps(space, eps, x, y):
+    try:
+        return nx.dijkstra_path_length(_nx_proximity(space, eps), x, y)
+    except nx.NetworkXNoPath:
+        return math.inf
+
+
+def test_d_eps_step_function_keeps_edges_at_each_break():
+    # consecutive breaks 0.3419... are adjacent doubles: a midpoint between
+    # them rounds down onto the lower break and drops its edges
+    space = snowflake_grid(3.0, 11)
+    breaks, values = ch.d_eps_step_function(space, 0, 10)
+    assert breaks.size == 20
+    expected = [_nx_d_eps(space, np.nextafter(b, np.inf), 0, 10) for b in breaks]
+    assert values.tolist() == expected
+
+
+@given(st.integers(2, 9), st.integers(0, 10 ** 6), st.sampled_from([None, 2.5, 3.0]),
+       st.data())
+@settings(max_examples=60, deadline=None)
+def test_d_eps_step_function_matches_networkx(n, seed, beta, data):
+    rng = np.random.default_rng(seed)
+    spec = {"type": "euclidean", "coords": rng.uniform(0, 1, (n, 2)).tolist()}
+    if beta is not None:
+        spec.update(type="snowflake", beta=beta)
+    space = sp.build_space(spec)
+    x = data.draw(st.integers(0, n - 1))
+    y = data.draw(st.integers(0, n - 1))
+    builds = []
+    build = ch.ProximityIndex.build
+
+    def counted_build(space, eps):
+        builds.append(eps)
+        return build(space, eps)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ch.ProximityIndex, "build", counted_build)
+        breaks, values = ch.d_eps_step_function(space, x, y)
+    assert len(builds) <= breaks.size
+    expected = [_nx_d_eps(space, np.nextafter(b, np.inf), x, y) for b in breaks]
+    assert values.tolist() == expected
+
+
 def test_d_eps_step_function_on_line():
     space = unit_line(4)
     breaks, values = ch.d_eps_step_function(space, 0, 3)

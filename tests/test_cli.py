@@ -108,6 +108,14 @@ def test_dirichlet_cap_requires_sets(path_csv, capsys):
     assert main(["dirichlet", "cap", "--graph", path_csv]) == 1
 
 
+def test_duplicate_csv_edge_is_an_error(tmp_path, capsys):
+    graph = tmp_path / "dup.csv"
+    graph.write_text("0,1,1.0\n1,2,1.0\n1,0,1.0\n")
+    assert main(["dirichlet", "cap", "--graph", str(graph),
+                 "--A", "0", "--B", "2"]) == 1
+    assert "more than once" in capsys.readouterr().err
+
+
 def test_heat_subcommand_writes_csv(path_csv, tmp_path, capsys):
     out_csv = tmp_path / "kernels.csv"
     assert main(["heat", "--graph", path_csv, "--times", "1,10",

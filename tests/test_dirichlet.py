@@ -119,6 +119,26 @@ def test_load_graph_csv_with_vertex_file(tmp_path):
     assert form.conductances[1, 2] == 2.0
 
 
+@pytest.mark.parametrize("edges, verts, message", [
+    # a repeated row would add its length: geodesic d(0, 2) = 3 instead of 2
+    ("0,1,1.0\n1,2,1.0\n0,1,1.0\n", None, "more than once"),
+    ("0,1,1.0\n1,2,1.0\n1,0,1.0\n", None, "more than once"),
+    ("0,1,1.0\n-1,2,1.0\n", None, "negative vertex id"),
+    ("0,1,1.0\n1,2,1.0\n", "0,1.0\n-1,2.0\n", "outside 0..2"),
+    ("0,1,1.0\n1,2,1.0\n", "3,1.0\n", "outside 0..2"),
+], ids=["duplicate", "duplicate-reversed", "negative-edge-id", "negative-vertex-id",
+        "vertex-id-past-n"])
+def test_load_graph_csv_rejects_bad_ids(tmp_path, edges, verts, message):
+    edge_path = tmp_path / "edges.csv"
+    edge_path.write_text(edges)
+    vert_path = None
+    if verts is not None:
+        vert_path = tmp_path / "verts.csv"
+        vert_path.write_text(verts)
+    with pytest.raises(df.DirichletFormError, match=message):
+        df.load_graph_csv(edge_path, vert_path)
+
+
 @given(st.integers(3, 9), st.integers(0, 10 ** 6))
 @settings(max_examples=50, deadline=None)
 def test_energy_measure_identity_random(n, seed):

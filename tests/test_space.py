@@ -92,6 +92,41 @@ def test_uniform_perfectness_on_line_and_clusters():
     assert not rep2["holds_at_2"]
 
 
+def _perfectness_loop(space):
+    # one (centre, radius) at a time: the reference for the vectorised scan
+    holds, worst, required_C = True, None, 1.0
+    for x in range(space.n):
+        pos = np.unique(space.dist[x])
+        pos = pos[pos > 0]
+        breaks = np.unique(np.concatenate([pos, 2 * pos]))
+        mids = 0.5 * (breaks[:-1] + breaks[1:])
+        candidates = np.unique(np.concatenate([breaks, mids]))
+        for r in candidates[(candidates > pos.min()) & (candidates <= pos.max())]:
+            inside = pos[pos < r]
+            if inside.size == len(pos):
+                continue
+            if not ((pos >= r / 2) & (pos < r)).any():
+                holds = False
+                if worst is None:
+                    worst = (x, float(r))
+            required_C = max(required_C, r / inside.max())
+    return {"holds_at_2": holds, "worst_scale": worst, "required_C": required_C}
+
+
+@given(st.integers(2, 10), st.integers(0, 10 ** 6), st.sampled_from([None, 3.0]),
+       st.sampled_from([1.0, 100.0]))
+@settings(max_examples=60, deadline=None)
+def test_uniform_perfectness_matches_loop(n, seed, beta, spread):
+    rng = np.random.default_rng(seed)
+    # scaling a random subset of the points by `spread` makes empty annuli likely
+    pts = rng.uniform(0, 1, (n, 2)) * rng.choice([1.0, spread], (n, 1))
+    spec = {"type": "euclidean", "coords": pts.tolist()}
+    if beta is not None:
+        spec.update(type="snowflake", beta=beta)
+    space = sp.build_space(spec)
+    assert sp.uniform_perfectness(space) == _perfectness_loop(space)
+
+
 def test_volume_profile_matches_ball_volume():
     space = unit_line(9)
     profile = sp.volume_profile(space, 4)
