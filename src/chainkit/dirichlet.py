@@ -48,6 +48,13 @@ class GraphDirichletForm:
         w = sp.csr_matrix(self.conductances)
         if w.shape[0] != w.shape[1]:
             raise DirichletFormError("conductance matrix must be square")
+        self.vertex_measure = np.asarray(self.vertex_measure, dtype=float)
+        finite = [w.data, self.vertex_measure]
+        if self.lengths is not None:
+            finite.append(sp.csr_matrix(self.lengths).data)
+        if not all(np.isfinite(a).all() for a in finite):
+            raise DirichletFormError(
+                "conductances, lengths and measure weights must be finite numbers")
         if abs(w - w.T).nnz:
             raise DirichletFormError("conductance matrix must be symmetric")
         if w.diagonal().any():
@@ -55,7 +62,6 @@ class GraphDirichletForm:
         if (w.data < 0).any():
             raise DirichletFormError("conductances must be nonnegative")
         self.conductances = w
-        self.vertex_measure = np.asarray(self.vertex_measure, dtype=float)
         if self.vertex_measure.shape != (w.shape[0],):
             raise DirichletFormError("vertex measure has wrong length")
         if (self.vertex_measure <= 0).any():
@@ -267,23 +273,35 @@ def two_point_check(form: GraphDirichletForm, psi, u: np.ndarray, x: int,
 
 
 def _load_csv(path) -> np.ndarray:
+    # the first line is a header only if some field of it is not a number
     with open(path) as fh:
         first = fh.readline()
-    skip = 1 if any(c.isalpha() for c in first) else 0
+    try:
+        [float(f) for f in first.split(",")]
+        skip = 0
+    except ValueError:
+        skip = 1
     return np.loadtxt(path, delimiter=",", ndmin=2, skiprows=skip)
+
+
+def _vertex_ids(column: np.ndarray, what: str) -> np.ndarray:
+    if not (np.isfinite(column) & (column == np.round(column))).all():
+        raise DirichletFormError(f"{what} has a non-integral vertex id")
+    return column.astype(int)
 
 
 def load_graph_csv(edge_path, vertex_path=None) -> GraphDirichletForm:
     """Read an edge list "u,v,conductance[,length]" and optional "id,measure" file.
 
-    A single header line is tolerated in either file.  Vertex ids must be
-    nonnegative and each edge may be listed once, in either orientation.
+    A single header line (a first line that does not parse as numbers) is
+    tolerated in either file.  Vertex ids must be nonnegative integers and
+    each edge may be listed once, in either orientation.
     """
     rows = np.atleast_2d(_load_csv(edge_path))
     if rows.shape[1] not in (3, 4):
         raise DirichletFormError("edge file must have 3 or 4 columns")
-    u = rows[:, 0].astype(int)
-    v = rows[:, 1].astype(int)
+    u = _vertex_ids(rows[:, 0], "edge file")
+    v = _vertex_ids(rows[:, 1], "edge file")
     c = rows[:, 2]
     if min(u.min(), v.min()) < 0:
         raise DirichletFormError("edge file has a negative vertex id")
@@ -300,7 +318,7 @@ def load_graph_csv(edge_path, vertex_path=None) -> GraphDirichletForm:
     measure = np.ones(n)
     if vertex_path is not None:
         vrows = np.atleast_2d(_load_csv(vertex_path))
-        ids = vrows[:, 0].astype(int)
+        ids = _vertex_ids(vrows[:, 0], "vertex file")
         if ((ids < 0) | (ids >= n)).any():
             raise DirichletFormError(f"vertex file has an id outside 0..{n - 1}")
         measure[ids] = vrows[:, 1]
@@ -309,7 +327,7 @@ def load_graph_csv(edge_path, vertex_path=None) -> GraphDirichletForm:
 
 def save_graph_csv(form: GraphDirichletForm, edge_path) -> None:
     w = sp.triu(form.conductances).tocoo()
-    lengths = form.lengths.toarray()
+    lengths = np.asarray(sp.csr_matrix(form.lengths)[w.row, w.col]).ravel()
     with open(edge_path, "w") as fh:
-        for i, j, c in zip(w.row, w.col, w.data):
-            fh.write(f"{i},{j},{c:.17g},{lengths[i, j]:.17g}\n")
+        for i, j, c, ln in zip(w.row, w.col, w.data, lengths):
+            fh.write(f"{i},{j},{c:.17g},{ln:.17g}\n")

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 import warnings
+from collections.abc import MutableMapping
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -38,15 +39,50 @@ class HeatError(ValueError):
     pass
 
 
+class _LazyKernels(MutableMapping):
+    """p_t matrices keyed by time; each is computed on first read, then kept."""
+
+    def __init__(self, lam: np.ndarray, phi: np.ndarray, times: np.ndarray):
+        self._lam, self._phi = lam, phi
+        self._store = dict.fromkeys(float(t) for t in times)  # None: not yet read
+
+    def __getitem__(self, t):
+        P = self._store[t]
+        if P is None:
+            P = self._store[t] = (self._phi * np.exp(-self._lam * t)) @ self._phi.T
+        return P
+
+    def __setitem__(self, t, P):
+        self._store[t] = P
+
+    def __delitem__(self, t):
+        del self._store[t]
+
+    def __iter__(self):
+        return iter(self._store)
+
+    def __len__(self):
+        return len(self._store)
+
+    def __contains__(self, t):
+        return t in self._store
+
+
 @dataclass
 class HeatKernelTable:
-    """p_t(x, y) matrices over a time grid, plus the spectral data."""
+    """p_t(x, y) over a time grid, held as spectral data: each n x n matrix
+    in ``kernels`` is computed from the eigenpairs on first read, then kept."""
 
     form: GraphDirichletForm
     times: np.ndarray
-    kernels: dict[float, np.ndarray]
+    kernels: MutableMapping[float, np.ndarray]
     eigenvalues: np.ndarray = field(repr=False)
     eigenfunctions: np.ndarray = field(repr=False)  # m-orthonormal columns
+
+    def rows(self, x: int, times) -> np.ndarray:
+        """p_t(x, .) for each t in times: one row per time, a T x n block."""
+        lam, phi = self.eigenvalues, self.eigenfunctions
+        return (np.exp(-np.outer(times, lam)) * phi[x]) @ phi.T
 
     def kernel_at(self, t: float) -> np.ndarray:
         key = float(t)
@@ -97,8 +133,7 @@ def heat_kernel(form: GraphDirichletForm, times, verify: bool = True) -> HeatKer
     times = np.sort(np.asarray(times, dtype=float))
     if (times <= 0).any():
         raise HeatError("times must be positive")
-    kernels = {float(t): (phi * np.exp(-lam * t)) @ phi.T for t in times}
-    table = HeatKernelTable(form=form, times=times, kernels=kernels,
+    table = HeatKernelTable(form=form, times=times, kernels=_LazyKernels(lam, phi, times),
                             eigenvalues=lam, eigenfunctions=phi)
     if verify:
         table.verify()
@@ -128,6 +163,9 @@ def sub_gaussian_fit(table: HeatKernelTable, dist: np.ndarray,
     over the window band[0] <= d^beta / t <= band[1], and keeps the beta
     with the smallest normalized residual.  Pairs within 10% of the
     diameter are excluded (finite-size tail pollution).
+
+    Kernel values come from one ``table.rows`` block per distinct centre and
+    ball volumes from one sorted volume profile per centre (searchsorted).
     """
     m = table.form.vertex_measure
     times = np.asarray(sorted(table.kernels))
@@ -144,7 +182,7 @@ def sub_gaussian_fit(table: HeatKernelTable, dist: np.ndarray,
 
     # stage one: on-diagonal decay exponent
     x_on = pairs[0][0]
-    pdiag = np.array([table.kernels[float(t)][x_on, x_on] for t in times])
+    pdiag = table.rows(x_on, times)[:, x_on]
     usable = pdiag > pdiag.min() * (1 + 1e-12)
     if usable.sum() >= 2:
         slope_on = float(np.polyfit(np.log(times[usable]), np.log(pdiag[usable]), 1)[0])
@@ -156,27 +194,29 @@ def sub_gaussian_fit(table: HeatKernelTable, dist: np.ndarray,
     vols = np.array([float(m[dist[x_on] < r].sum()) for r in radii])
     vol_exp = float(np.polyfit(np.log(radii), np.log(np.maximum(vols, m[x_on])), 1)[0])
 
+    # K[t, j] = p_t(x_j, y_j); V[c, b, t] = V(centre c, t^(1/beta_b))
+    xs, ys = np.array(pairs).T
+    centres, cidx = np.unique(xs, return_inverse=True)
+    ball_radii = times ** (1.0 / np.asarray(beta_grid, dtype=float)[:, None])
+    K = np.empty((times.size, len(pairs)))
+    V = np.empty((centres.size,) + ball_radii.shape)
+    for c, x in enumerate(centres):
+        on = cidx == c
+        K[:, on] = table.rows(x, times)[:, ys[on]]
+        order = np.argsort(dist[x], kind="stable")
+        cum = np.concatenate(([0.0], np.cumsum(m[order])))
+        V[c] = cum[np.searchsorted(dist[x, order], ball_radii, side="left")]
+
     best = None
     per_beta = {}
-    for beta in beta_grid:
-        X, Y = [], []
-        for t in times:
-            P = table.kernels[float(t)]
-            r = t ** (1.0 / beta)
-            for (x, y), d in zip(pairs, ds):
-                if not band[0] <= d ** beta / t <= band[1]:
-                    continue
-                p = P[x, y]
-                if p <= 0:
-                    continue
-                V = float(m[dist[x] < r].sum())
-                X.append((d ** beta / t) ** (1.0 / (beta - 1.0)))
-                Y.append(-math.log(p * V))
-        if len(X) < 8:
+    for b, beta in enumerate(beta_grid):
+        u = (ds ** beta)[None, :] / times[:, None]  # t-major, pair-minor points
+        keep = (band[0] <= u) & (u <= band[1]) & (K > 0)
+        if keep.sum() < 8:
             per_beta[float(beta)] = math.inf
             continue
-        X = np.asarray(X)
-        Y = np.asarray(Y)
+        X = u[keep] ** (1.0 / (beta - 1.0))
+        Y = -np.log(K[keep] * V[cidx, b].T[keep])
         slope, intercept = np.polyfit(X, Y, 1)
         resid = Y - (slope * X + intercept)
         score = float(np.sqrt(np.mean(resid ** 2)) / (Y.std() + 1e-30))

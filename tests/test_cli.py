@@ -116,6 +116,14 @@ def test_duplicate_csv_edge_is_an_error(tmp_path, capsys):
     assert "more than once" in capsys.readouterr().err
 
 
+def test_non_integral_csv_id_is_an_error(tmp_path, capsys):
+    graph = tmp_path / "frac.csv"
+    graph.write_text("0,1,1.0\n1.5,2,1.0\n")
+    assert main(["dirichlet", "cap", "--graph", str(graph),
+                 "--A", "0", "--B", "2"]) == 1
+    assert "non-integral vertex id" in capsys.readouterr().err
+
+
 def test_heat_subcommand_writes_csv(path_csv, tmp_path, capsys):
     out_csv = tmp_path / "kernels.csv"
     assert main(["heat", "--graph", path_csv, "--times", "1,10",

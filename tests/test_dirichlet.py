@@ -139,6 +139,77 @@ def test_load_graph_csv_rejects_bad_ids(tmp_path, edges, verts, message):
         df.load_graph_csv(edge_path, vert_path)
 
 
+@pytest.mark.parametrize("edges, c01", [
+    ("0,1,1e-3\n1,2,1.0\n", 1e-3),
+    ("0,1,2E+0\n1,2,1.0\n", 2.0),
+    ("0,1,1.0,1e-3\n1,2,1.0,1.0\n", 1.0),
+], ids=["exponent", "capital-exponent", "exponent-in-length"])
+def test_numeric_first_row_is_not_a_header(tmp_path, edges, c01):
+    # a letter in an exponent used to mark the row as a header, dropping
+    # edge 0-1 and isolating vertex 0
+    edge_path = tmp_path / "edges.csv"
+    edge_path.write_text(edges)
+    form = df.load_graph_csv(edge_path)
+    assert form.n == 3 and form.is_connected()
+    assert form.conductances[0, 1] == c01
+
+
+@pytest.mark.parametrize("edges, verts, message", [
+    ("0,1,nan\n1,2,1.0\n", None, "finite"),
+    ("0,1,inf\n1,2,1.0\n", None, "finite"),
+    ("0,1,1.0,inf\n1,2,1.0,1.0\n", None, "finite"),
+    ("0,1,1.0\n1,2,1.0\n", "0,nan\n", "finite"),
+    ("0,1.5,1.0\n1,2,1.0\n", None, "non-integral"),
+    ("0,1,1.0\nnan,2,1.0\n", None, "non-integral"),
+    ("0,1,1.0\n1,2,1.0\n", "1.5,2.0\n", "non-integral"),
+], ids=["nan-conductance", "inf-conductance", "inf-length", "nan-measure-one-row",
+        "fractional-edge-id", "nan-edge-id", "fractional-vertex-id"])
+def test_load_graph_csv_rejects_non_finite_and_non_integral(tmp_path, edges, verts, message):
+    edge_path = tmp_path / "edges.csv"
+    edge_path.write_text(edges)
+    vert_path = None
+    if verts is not None:
+        vert_path = tmp_path / "verts.csv"
+        vert_path.write_text(verts)
+    with pytest.raises(df.DirichletFormError, match=message):
+        df.load_graph_csv(edge_path, vert_path)
+
+
+def test_form_rejects_non_finite_values():
+    w = two_vertex().conductances
+    nan_w = sps.csr_matrix(np.array([[0.0, np.nan], [np.nan, 0.0]]))
+    inf_len = sps.csr_matrix(np.array([[0.0, np.inf], [np.inf, 0.0]]))
+    for args in ((nan_w, np.ones(2)), (w, np.array([1.0, np.nan])),
+                 (w, np.array([np.inf, 1.0])), (w, np.ones(2), inf_len)):
+        with pytest.raises(df.DirichletFormError, match="must be finite numbers"):
+            df.GraphDirichletForm(*args)
+
+
+def test_save_graph_csv_matches_dense_lengths(tmp_path):
+    # the reference is the former writer, which read lengths from a dense copy
+    rng = np.random.default_rng(3)
+    base = df.cycle_graph(9)
+    c = sps.triu(base.conductances).tocoo()
+    cond = rng.uniform(0.5, 2.0, c.nnz)
+    lens = rng.uniform(0.1, 3.0, c.nnz)
+
+    def sym(vals):
+        return sps.coo_matrix((np.r_[vals, vals], (np.r_[c.row, c.col], np.r_[c.col, c.row])),
+                              shape=base.conductances.shape).tocsr()
+
+    form = df.GraphDirichletForm(sym(cond), np.ones(9), sym(lens))
+    path = tmp_path / "graph.csv"
+    df.save_graph_csv(form, path)
+    w = sps.triu(form.conductances).tocoo()
+    dense = form.lengths.toarray()
+    expected = "".join(f"{i},{j},{c:.17g},{dense[i, j]:.17g}\n"
+                       for i, j, c in zip(w.row, w.col, w.data))
+    assert path.read_text() == expected
+    assert len(expected.splitlines()) == 9 and expected.count(",") == 27
+    loaded = df.load_graph_csv(path)
+    assert (loaded.lengths != form.lengths).nnz == 0
+
+
 @given(st.integers(3, 9), st.integers(0, 10 ** 6))
 @settings(max_examples=50, deadline=None)
 def test_energy_measure_identity_random(n, seed):
