@@ -102,32 +102,31 @@ def _check_ids(space, *ids):
             raise SpaceError(f"unknown point id {i}")
 
 
-def chain_metric(space: FiniteMetricMeasureSpace, epsilon: float, x: int,
-                 y: int, index: ProximityIndex | None = None) -> tuple[float, list[int]]:
-    """d_eps(x, y) and an optimal witness chain (empty when disconnected)."""
+def _shortest_chain(space, epsilon, x, y, index, weighted):
+    """Least eps-chain length (a float) if weighted, else hop count (an int),
+    and a witness; 0 when x == y, inf and [] when no eps-chain joins them."""
     _check_ids(space, x, y)
     if index is None:
         index = ProximityIndex.build(space, epsilon)
+    value = float if weighted else int
     if x == y:
-        return 0.0, [x]
-    dist, pred = index.shortest_paths(x, weighted=True)
+        return value(0), [x]
+    dist, pred = index.shortest_paths(x, weighted=weighted)
     if not np.isfinite(dist[y]):
         return math.inf, []
-    return float(dist[y]), _walk_predecessors(pred, x, y)
+    return value(dist[y]), _walk_predecessors(pred, x, y)
+
+
+def chain_metric(space: FiniteMetricMeasureSpace, epsilon: float, x: int,
+                 y: int, index: ProximityIndex | None = None) -> tuple[float, list[int]]:
+    """d_eps(x, y) and an optimal witness chain (empty when disconnected)."""
+    return _shortest_chain(space, epsilon, x, y, index, weighted=True)
 
 
 def min_chain_count(space: FiniteMetricMeasureSpace, epsilon: float, x: int,
                     y: int, index: ProximityIndex | None = None) -> tuple[float, list[int]]:
     """N_eps(x, y) and a hop-minimal witness; 0 when x == y."""
-    _check_ids(space, x, y)
-    if index is None:
-        index = ProximityIndex.build(space, epsilon)
-    if x == y:
-        return 0, [x]
-    hops, pred = index.shortest_paths(x, weighted=False)
-    if not np.isfinite(hops[y]):
-        return math.inf, []
-    return int(hops[y]), _walk_predecessors(pred, x, y)
+    return _shortest_chain(space, epsilon, x, y, index, weighted=False)
 
 
 def analyze_pair(space: FiniteMetricMeasureSpace, epsilon: float, x: int,
@@ -142,14 +141,20 @@ def analyze_pair(space: FiniteMetricMeasureSpace, epsilon: float, x: int,
     return analysis
 
 
+def sandwich_violations(eps: float, d_eps, n_eps) -> int:
+    """How many (d_eps, N_eps) break ceil(d_eps/eps) <= N_eps <= 9 ceil(d_eps/eps).
+
+    Scalars or arrays; x == y (d_eps = N_eps = 0) holds since ceil(0) = 0, and
+    a disconnected pair (both infinite) is never counted."""
+    blocks = np.ceil(d_eps / eps)
+    return int(np.count_nonzero((n_eps < blocks) | (n_eps > 9 * blocks)))
+
+
 def chain_sandwich_check(analysis: ChainAnalysis) -> bool:
     """ceil(d_eps/eps) <= N_eps <= 9 ceil(d_eps/eps); requires d_eps finite."""
     if math.isinf(analysis.d_eps):
         raise ChainError("chain sandwich requires finite d_eps")
-    if analysis.x == analysis.y:
-        return analysis.n_eps == 0
-    blocks = math.ceil(analysis.d_eps / analysis.epsilon)
-    return blocks <= analysis.n_eps <= 9 * blocks
+    return not sandwich_violations(analysis.epsilon, analysis.d_eps, analysis.n_eps)
 
 
 def main_inequality_scan(space: FiniteMetricMeasureSpace, psi, pairs,

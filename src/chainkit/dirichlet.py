@@ -59,8 +59,8 @@ class GraphDirichletForm:
             raise DirichletFormError("conductance matrix must be symmetric")
         if w.diagonal().any():
             raise DirichletFormError("conductance matrix must have zero diagonal")
-        if (w.data < 0).any():
-            raise DirichletFormError("conductances must be nonnegative")
+        if (w.data <= 0).any():  # a stored zero would still join the geodesic graph
+            raise DirichletFormError("stored conductances must be positive")
         self.conductances = w
         if self.vertex_measure.shape != (w.shape[0],):
             raise DirichletFormError("vertex measure has wrong length")
@@ -326,6 +326,8 @@ def load_graph_csv(edge_path, vertex_path=None) -> GraphDirichletForm:
 
 
 def save_graph_csv(form: GraphDirichletForm, edge_path) -> None:
+    """One "u,v,conductance,length" row per edge, u < v.  The edge list
+    records neither isolated vertices nor the vertex measure."""
     w = sp.triu(form.conductances).tocoo()
     lengths = np.asarray(sp.csr_matrix(form.lengths)[w.row, w.col]).ravel()
     with open(edge_path, "w") as fh:

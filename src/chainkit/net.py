@@ -121,11 +121,14 @@ class PartitionOfUnity:
                 raise NetError(f"psi_{z} is not identically 1 on B(z, eps/4)")
             if (psi_z[dz >= 5 * eps / 4] != 0).any():
                 raise NetError(f"psi_{z} does not vanish outside B(z, 5 eps/4)")
-        for z in self.psi_values:
-            dz = space.dist[z]
-            for w, psi_w in self.psi_values.items():
-                if w != z and (psi_w[dz < eps / 4] != 0).any():
-                    raise NetError(f"psi_{w} does not vanish on B({z}, eps/4)")
+        # psi_w (w != z) vanishes on B(z, eps/4) iff only psi_z may be nonzero there
+        nonzero = sum(psi_w != 0 for psi_w in self.psi_values.values())
+        for z, psi_z in self.psi_values.items():
+            ball = space.dist[z] < eps / 4
+            if (nonzero[ball] - (psi_z[ball] != 0)).any():
+                w = next(w for w, psi_w in self.psi_values.items()
+                         if w != z and (psi_w[ball] != 0).any())
+                raise NetError(f"psi_{w} does not vanish on B({z}, eps/4)")
 
 
 def build_partition(space: FiniteMetricMeasureSpace, net: EpsilonNet) -> PartitionOfUnity:

@@ -85,13 +85,14 @@ def _check_triangle(dist: np.ndarray) -> None:
             )
 
 
-def build_space(spec: dict, check_triangle: bool | None = None) -> FiniteMetricMeasureSpace:
+def build_space(spec: dict) -> FiniteMetricMeasureSpace:
     """Construct a space from a metric-construction descriptor.
 
     ``spec`` has a "type" of "euclidean", "snowflake" or "explicit" plus
     "coords" / ("coords", "beta") / "matrix", and an optional "measure"
     (default: uniform unit weights).  Snowflake distances are the Euclidean
-    ones raised to the power 2/beta, beta >= 2.
+    ones raised to the power 2/beta, beta >= 2.  An explicit matrix is
+    triangle-checked up to TRIANGLE_CHECK_LIMIT points, larger ones with a warning.
     """
     kind = spec.get("type")
     if kind in ("euclidean", "snowflake"):
@@ -116,14 +117,9 @@ def build_space(spec: dict, check_triangle: bool | None = None) -> FiniteMetricM
     n = dist.shape[0]
     measure = np.asarray(spec.get("measure", np.ones(n)), dtype=float)
     space = FiniteMetricMeasureSpace(dist, measure, provenance)
-    if check_triangle is None:
-        check_triangle = n <= TRIANGLE_CHECK_LIMIT
-        if n > TRIANGLE_CHECK_LIMIT:
-            warnings.warn(
-                f"skipping O(n^3) triangle-inequality check for n={n}; "
-                "pass check_triangle=True to force it"
-            )
-    if check_triangle and kind == "explicit":
+    if kind == "explicit" and n > TRIANGLE_CHECK_LIMIT:
+        warnings.warn(f"skipping O(n^3) triangle-inequality check for n={n}")
+    elif kind == "explicit":
         _check_triangle(dist)
     return space
 

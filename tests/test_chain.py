@@ -75,6 +75,18 @@ def test_sandwich_raises_on_disconnection():
         ch.chain_sandwich_check(a)
 
 
+def test_sandwich_violations_counts_each_failing_pair():
+    # blocks ceil(d_eps / 1) = 0, 0, 3, 3, 3, inf: N_eps = 1 at x == y, 2 < 3
+    # and 28 > 27 break the sandwich; the disconnected pair does not count
+    d_eps = np.array([0.0, 0.0, 2.5, 2.5, 2.5, math.inf])
+    n_eps = np.array([0, 1, 3, 2, 28, math.inf])
+    assert ch.sandwich_violations(1.0, d_eps, n_eps) == 3
+    assert [ch.sandwich_violations(1.0, d, n) for d, n in zip(d_eps, n_eps)] == [0, 1, 0, 1, 1, 0]
+    same = ch.ChainAnalysis(x=2, y=2, epsilon=0.5, d_eps=0.0, n_eps=0,
+                            witness_metric=[2], witness_hops=[2])
+    assert ch.chain_sandwich_check(same)
+
+
 def test_main_inequality_scan_reports_skips():
     space = unit_line(5)
     psi = power_scale(2.0)

@@ -124,6 +124,13 @@ def test_non_integral_csv_id_is_an_error(tmp_path, capsys):
     assert "non-integral vertex id" in capsys.readouterr().err
 
 
+def test_zero_conductance_csv_edge_is_an_error(tmp_path, capsys):
+    graph = tmp_path / "zero.csv"
+    graph.write_text("0,1,1\n1,2,0\n2,3,1\n")
+    assert main(["heat", "--graph", str(graph), "--times", "1"]) == 1
+    assert "conductances must be positive" in capsys.readouterr().err
+
+
 def test_heat_subcommand_writes_csv(path_csv, tmp_path, capsys):
     out_csv = tmp_path / "kernels.csv"
     assert main(["heat", "--graph", path_csv, "--times", "1,10",

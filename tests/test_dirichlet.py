@@ -185,6 +185,43 @@ def test_form_rejects_non_finite_values():
             df.GraphDirichletForm(*args)
 
 
+def test_zero_conductance_is_rejected(tmp_path):
+    # a stored zero used to join the geodesic graph: d(0, 3) = 3 with p_1(0, 3) = 0
+    edge_path = tmp_path / "edges.csv"
+    edge_path.write_text("0,1,1\n1,2,0\n2,3,1\n")
+    with pytest.raises(df.DirichletFormError, match="positive"):
+        df.load_graph_csv(edge_path)
+    w = sps.coo_matrix(([1.0, 1.0, 0.0, 0.0], ([0, 1, 1, 2], [1, 0, 2, 1])), shape=(3, 3))
+    with pytest.raises(df.DirichletFormError, match="positive"):
+        df.GraphDirichletForm(w.tocsr(), np.ones(3))
+
+
+@given(st.integers(2, 9), st.data())
+@settings(max_examples=60, deadline=None)
+def test_graph_csv_round_trip_is_bit_exact(tmp_path_factory, n, data):
+    # a spanning tree (vertex v joins an earlier one) plus any extra edges:
+    # no isolated vertex, so the edge list fixes n
+    edges = {(data.draw(st.integers(0, v - 1)), v) for v in range(1, n)}
+    edges |= data.draw(st.sets(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+                               .filter(lambda e: e[0] < e[1]), max_size=n))
+    u, v = np.array(sorted(edges)).T
+    positive = st.floats(1e-300, 1e300, allow_nan=False, allow_infinity=False)
+
+    def sym(vals):
+        return sps.coo_matrix((np.r_[vals, vals], (np.r_[u, v], np.r_[v, u])),
+                              shape=(n, n)).tocsr()
+
+    cond = data.draw(st.lists(positive, min_size=u.size, max_size=u.size))
+    lens = data.draw(st.lists(positive, min_size=u.size, max_size=u.size))
+    form = df.GraphDirichletForm(sym(cond), np.ones(n), sym(lens))
+    path = tmp_path_factory.mktemp("graph") / "graph.csv"
+    df.save_graph_csv(form, path)
+    loaded = df.load_graph_csv(path)
+    for a, b in ((loaded.conductances, form.conductances), (loaded.lengths, form.lengths)):
+        assert a.shape == b.shape
+        assert np.array_equal(a.toarray(), b.toarray())
+
+
 def test_save_graph_csv_matches_dense_lengths(tmp_path):
     # the reference is the former writer, which read lengths from a dense copy
     rng = np.random.default_rng(3)

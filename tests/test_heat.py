@@ -44,6 +44,23 @@ def test_kernel_verify_catches_tampering():
         table.verify()
 
 
+def test_kernel_defects_cover_the_given_semigroup_pairs():
+    table = ht.heat_kernel(cycle_graph(12), [1.0, 2.0, 3.0], verify=False)
+    clean = ht.kernel_defects(table, [(t, s) for t in table.times for s in table.times])
+    assert max(clean["symmetry"], clean["stochasticity"], clean["semigroup"]) <= 1e-12
+    assert clean["min_entry"] > 0
+    assert ht.kernel_defects(table, [])["semigroup"] == 0.0
+    # a symmetric, mass-gaining p_3 breaks stochasticity and every pair summing to 3
+    table.kernels[3.0] = 1.001 * table.kernels[3.0]
+    assert ht.kernel_defects(table, [(1.0, 1.0)])["semigroup"] <= 1e-12
+    bad = ht.kernel_defects(table, [(1.0, 2.0)])
+    assert bad["symmetry"] <= 1e-12
+    assert bad["stochasticity"] == pytest.approx(1e-3, rel=1e-6)
+    assert bad["semigroup"] == pytest.approx(1e-3 * table.kernels[3.0].max() / 1.001, rel=1e-6)
+    with pytest.raises(ht.HeatError, match="stochasticity"):
+        table.verify()
+
+
 def test_kernel_at_interpolates_spectrally():
     table = ht.heat_kernel(two_vertex(), [1.0, 2.0])
     np.testing.assert_allclose(table.kernel_at(3.0),

@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 import chainkit.net as nt
 import chainkit.space as sp
 from chainkit.dirichlet import path_graph
+from chainkit.heat import sierpinski_gasket_graph
 from chainkit.scale import power_scale
 
 
@@ -50,6 +51,53 @@ def test_partition_of_unity_properties():
     for z, psi_z in pou.psi_values.items():
         assert psi_z[z] == pytest.approx(1.0)
         assert (psi_z >= 0).all() and (psi_z <= 1).all()
+
+
+def loop_disjointness_error(pou):
+    """The pairwise (z, w) loop PartitionOfUnity.verify used to run, kept as
+    its reference: the message for the first psi_w (w != z) that is nonzero
+    on B(z, eps/4), or None."""
+    eps = pou.net.epsilon
+    for z in pou.psi_values:
+        dz = pou.net.space.dist[z]
+        for w, psi_w in pou.psi_values.items():
+            if w != z and (psi_w[dz < eps / 4] != 0).any():
+                return f"psi_{w} does not vanish on B({z}, eps/4)"
+    return None
+
+
+@pytest.mark.parametrize("graph, eps", [("path-41", 8.0), ("gasket-4", 6.0)])
+def test_partition_disjointness_matches_pairwise_loop(graph, eps):
+    form = path_graph(41) if graph == "path-41" else sierpinski_gasket_graph(4)
+    space = sp.space_from_graph(form)
+    pou = nt.build_partition(space, nt.build_net(space, eps))
+    assert loop_disjointness_error(pou) is None
+    rng = np.random.default_rng(5)
+    tampered = 0
+    for trial in range(40):
+        psis = {z: psi.copy() for z, psi in pou.psi_values.items()}
+        for _ in range(1 + trial % 2):
+            z = int(rng.choice(list(psis)))
+            v = int(rng.choice(np.flatnonzero(space.dist[z] < eps / 4)))
+            # +1/2 and -1/2 on two members whose support reaches v keep the
+            # sum, the plateaus and the supports intact
+            near = [w for w in psis if w != z and space.dist[w, v] < 5 * eps / 4]
+            if len(near) < 2:
+                continue
+            w1, w2 = rng.choice(near, 2, replace=False)
+            psis[int(w1)][v] += 0.5
+            psis[int(w2)][v] -= 0.5
+        bad = nt.PartitionOfUnity(net=pou.net, form=form, psi_values=psis,
+                                  energies=pou.energies)
+        expected = loop_disjointness_error(bad)
+        if expected is None:
+            bad.verify()
+            continue
+        tampered += 1
+        with pytest.raises(nt.NetError) as err:
+            bad.verify()
+        assert str(err.value) == expected
+    assert tampered >= 20
 
 
 def test_partition_requires_graph_backing():

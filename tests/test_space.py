@@ -1,6 +1,8 @@
+import warnings
+
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import chainkit.space as sp
 from chainkit.dirichlet import path_graph
@@ -143,6 +145,43 @@ def test_save_load_round_trip(tmp_path):
     loaded = sp.load_space(path)
     np.testing.assert_allclose(loaded.dist, space.dist, rtol=0, atol=1e-15)
     np.testing.assert_allclose(loaded.measure, space.measure)
+
+
+coordinate = st.floats(-100.0, 100.0, allow_nan=False)
+weight = st.floats(1e-300, 1e300, allow_nan=False, allow_infinity=False)
+
+
+@given(st.lists(st.tuples(coordinate, coordinate), min_size=2, max_size=9, unique=True),
+       st.sampled_from(["euclidean", "snowflake", "explicit"]), st.floats(2.0, 6.0),
+       st.data())
+@settings(max_examples=80, deadline=None)
+def test_save_load_round_trip_is_bit_exact(tmp_path_factory, points, kind, beta, data):
+    measure = data.draw(st.lists(weight, min_size=len(points), max_size=len(points)))
+    spec = {"type": "euclidean", "coords": [list(p) for p in points], "measure": measure}
+    try:
+        euclid = sp.build_space(spec)
+    except sp.SpaceError:  # two points closer than the square root of the least double
+        assume(False)
+    if kind == "snowflake":
+        spec.update(type="snowflake", beta=beta)
+    elif kind == "explicit":
+        spec = {"type": "explicit", "matrix": euclid.dist.tolist(), "measure": measure}
+    space = sp.build_space(spec)
+    path = tmp_path_factory.mktemp("space") / "space.json"
+    sp.save_space(space, path)
+    loaded = sp.load_space(path)
+    assert np.array_equal(loaded.dist, space.dist)
+    assert np.array_equal(loaded.measure, space.measure)
+
+
+def test_triangle_warning_only_for_unchecked_explicit_matrices():
+    n = sp.TRIANGLE_CHECK_LIMIT + 100
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # euclidean metrics are never triangle-checked
+        sp.build_space({"type": "euclidean", "coords": np.arange(float(n)).tolist()})
+    i = np.arange(sp.TRIANGLE_CHECK_LIMIT + 1.0)
+    with pytest.warns(UserWarning, match="skipping O\\(n\\^3\\) triangle-inequality check"):
+        sp.build_space({"type": "explicit", "matrix": np.abs(i[:, None] - i[None, :])})
 
 
 @given(st.integers(2, 8), st.integers(0, 10 ** 6))
