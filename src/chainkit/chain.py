@@ -228,78 +228,81 @@ def chain_condition_estimate(space: FiniteMetricMeasureSpace, epsilons,
     return {"K_hat": K_hat, "disconnected_at": None, "argmax": argmax}
 
 
+def _d_eps_steps(space: FiniteMetricMeasureSpace, breaks, x: int, y: int):
+    """Yield (j, k, d_eps) from the top down: d_eps(x, y) is that float on the
+    intervals j..k of ``breaks`` (see ``d_eps_step_function``); x != y.
+
+    The optimal witness at interval k has longest hop breaks[j]; each edge set
+    {d <= breaks[i]}, j <= i <= k, keeps that witness and adds no path, so
+    d_eps is the same float on all of them and the walk jumps to j - 1.  It
+    stops at the first disconnected interval: the ones below are too.
+    """
+    k = breaks.size - 1
+    while k >= 0:
+        index = ProximityIndex.build(space, np.nextafter(breaks[k], math.inf))
+        d_eps, witness = chain_metric(space, index.epsilon, x, y, index)
+        if math.isinf(d_eps):
+            return
+        j = int(np.searchsorted(breaks, space.dist[witness[:-1], witness[1:]].max()))
+        yield j, k, d_eps
+        k = j - 1
+
+
 def d_eps_step_function(space: FiniteMetricMeasureSpace, x: int, y: int):
     """d_eps(x, y) as a step function of eps.
 
     Returns (breaks, values): d_eps equals values[k] on the interval
     (breaks[k], breaks[k+1]] and values[-1] for eps > breaks[-1].  The breaks
     are the distinct positive pairwise distances, where proximity edges
-    appear, so on interval k the edge set is {d <= breaks[k]}.
-
-    The intervals are walked from the top, one step of d_eps at a time.  The
-    optimal witness at interval k has longest hop breaks[j]; each edge set
-    {d <= breaks[i]}, j <= i <= k, keeps that witness and adds no path, so
-    d_eps is the same float on all of them and the walk jumps to j - 1.  It
-    stops at the first disconnected interval: the ones below are too.
+    appear, so on interval k the edge set is {d <= breaks[k]}.  The values
+    come from one Dijkstra call per step of d_eps, walked from the top.
     """
     _check_ids(space, x, y)
     breaks = space.critical_radii()
-    breaks = breaks[breaks > 0]
     if x == y:
         return breaks, np.zeros(breaks.size)
     values = np.full(breaks.size, math.inf)
-    k = breaks.size - 1
-    while k >= 0:
-        index = ProximityIndex.build(space, np.nextafter(breaks[k], math.inf))
-        d_eps, witness = chain_metric(space, index.epsilon, x, y, index)
-        if math.isinf(d_eps):
-            break
-        j = int(np.searchsorted(breaks, space.dist[witness[:-1], witness[1:]].max()))
+    for j, k, d_eps in _d_eps_steps(space, breaks, x, y):
         values[j:k + 1] = d_eps
-        k = j - 1
     return breaks, values
 
 
 def epsilon_of_t(space: FiniteMetricMeasureSpace, psi, x: int, y: int,
                  t: float) -> float:
-    """sup{eps > 0 : (psi(eps)/eps) d_eps(x, y) <= t}, capped at the diameter.
+    """sup{eps > 0 : F(eps) = (psi(eps)/eps) d_eps(x, y) <= t}, at most the diameter.
 
     Exact: d_eps is a step function of eps with jumps at pairwise distances,
-    and psi(eps)/eps is continuous, so the supremum is found by scanning the
-    critical intervals from the top and bisecting within one of them.
+    and psi(eps)/eps is continuous, so the supremum lies in the topmost
+    interval (lo, hi] of a step where F(hi) <= t (the answer is hi) or
+    F(lo) < t (bisected inside).  The steps are walked from the top and the
+    walk stops at the answer.  The cap is implicit: breaks[-1] is the
+    diameter, so the interval above it is never scanned.  psi is called once
+    per step on all its breaks, so a tabulated psi must cover every break of
+    the steps down to the one holding the answer.
     """
     if t <= 0:
         raise ChainError("t must be positive")
     if x == y:
         raise ChainError("epsilon_of_t requires x != y")
-    diam = space.diameter()
-    breaks, values = d_eps_step_function(space, x, y)
-
-    def F(eps, L):
-        return psi(eps) / eps * L
-
-    for k in range(breaks.size - 1, -1, -1):
-        lo = breaks[k]
-        hi = breaks[k + 1] if k + 1 < breaks.size else diam
-        if hi <= lo:
-            hi = lo  # top interval degenerates when breaks[-1] == diam
-        L = values[k]
-        if math.isinf(L):
+    _check_ids(space, x, y)
+    breaks = space.critical_radii()
+    for j, k, L in _d_eps_steps(space, breaks, x, y):
+        e = breaks[j:k + 2]  # interval i of the step is (e[i], e[i + 1]]
+        F = psi(e) / e * L
+        hit = np.flatnonzero((F[1:] <= t) | (F[:-1] < t))
+        if not hit.size:
             continue
-        if hi > lo and F(hi, L) <= t:
-            return float(min(hi, diam))
-        if F(lo, L) >= t:  # limit from the right at lo
-            continue
-        if hi <= lo:
-            continue
-        a, b = lo, hi
+        i = hit[-1]
+        if F[i + 1] <= t:
+            return float(e[i + 1])
+        a, b = e[i], e[i + 1]
         for _ in range(200):
             mid = 0.5 * (a + b)
-            if F(mid, L) <= t:
+            if psi(mid) / mid * L <= t:
                 a = mid
             else:
                 b = mid
             if b - a <= 1e-15 * max(1.0, b):
                 break
-        return float(min(a, diam))
+        return float(a)
     raise ChainError("time below chain resolution: no eps satisfies the bound")

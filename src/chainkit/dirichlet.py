@@ -182,8 +182,7 @@ def capacity(form: GraphDirichletForm, A, B) -> tuple[float, np.ndarray]:
     return energy(form, f), f
 
 
-def truncated_maximal(target, nu: np.ndarray, x: int, R: float,
-                      dist_row: np.ndarray | None = None) -> float:
+def truncated_maximal(target, nu: np.ndarray, x: int, R: float) -> float:
     """sup over 0 < r < R of nu(B(x,r)) / m(B(x,r)) (strict balls).
 
     ``target`` is a GraphDirichletForm or any object with ``dist`` and
@@ -192,15 +191,10 @@ def truncated_maximal(target, nu: np.ndarray, x: int, R: float,
     """
     if R <= 0:
         raise DirichletFormError("R must be positive")
-    if dist_row is None:
-        if hasattr(target, "dist"):
-            dist_row = target.dist[x]
-            m = target.measure
-        else:
-            dist_row = target.geodesic_distances()[x]
-            m = target.vertex_measure
+    if hasattr(target, "dist"):
+        dist_row, m = target.dist[x], target.measure
     else:
-        m = target.vertex_measure if hasattr(target, "vertex_measure") else target.measure
+        dist_row, m = target.geodesic_distances()[x], target.vertex_measure
     nu = np.asarray(nu, dtype=float)
     order = np.argsort(dist_row)
     d_sorted = dist_row[order]

@@ -20,9 +20,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
+import scipy.sparse.csgraph as csgraph
 import scipy.sparse.linalg as spla
 from scipy.linalg import eigh
 
+from .chain import _walk_predecessors, chain_metric, epsilon_of_t
 from .dirichlet import DirichletFormError, GraphDirichletForm
 
 # candidate walk exponents for envelope fitting; brackets the Gaussian case
@@ -272,16 +274,11 @@ def chaining_lower_bound(table: HeatKernelTable, dist: np.ndarray, x: int,
         return float(P[x, y]) if admissible[x, y] else 0.0
 
     # chain points: hop-count interpolation along a shortest path
-    import scipy.sparse.csgraph as csgraph
-
     d_row, pred = csgraph.dijkstra(table.form.lengths, directed=False,
                                    indices=x, return_predecessors=True)
     if not np.isfinite(d_row[y]):
         return 0.0
-    path = [y]
-    while path[-1] != x:
-        path.append(int(pred[path[-1]]))
-    path = path[::-1]
+    path = _walk_predecessors(pred, x, y)
     idx = np.linspace(0, len(path) - 1, n + 1).round().astype(int)
     chain = [path[i] for i in idx]
 
@@ -305,8 +302,6 @@ def generalized_estimate_eval(table: HeatKernelTable, space, psi, phi,
     Reports p_t(x, y), V(x, psi^-1(t)), the exponent t * phi(d_eps / t) at
     eps = eps(t, x, y), and the implied prefactor p * V.
     """
-    from .chain import chain_metric, epsilon_of_t
-
     eps = epsilon_of_t(space, psi, x, y, t)
     d_eps, _ = chain_metric(space, eps, x, y)
     p = float(table.kernel_at(t)[x, y])

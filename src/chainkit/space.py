@@ -56,20 +56,15 @@ class FiniteMetricMeasureSpace:
     def n(self) -> int:
         return self.dist.shape[0]
 
-    @property
-    def points(self) -> range:
-        return range(self.n)
-
     def diameter(self) -> float:
         return float(self.dist.max()) if self.n else 0.0
 
     def total_mass(self) -> float:
         return float(self.measure.sum())
 
-    def critical_radii(self, x: int | None = None) -> np.ndarray:
-        """Sorted distinct pairwise distances (from x, if given)."""
-        d = self.dist[x] if x is not None else self.dist[np.triu_indices(self.n, 1)]
-        return np.unique(d)
+    def critical_radii(self) -> np.ndarray:
+        """Sorted distinct pairwise distances, all positive."""
+        return np.unique(self.dist[np.triu_indices(self.n, 1)])
 
 
 def _check_triangle(dist: np.ndarray) -> None:

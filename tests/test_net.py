@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+import chainkit.chain as ch
 import chainkit.net as nt
 import chainkit.space as sp
 from chainkit.dirichlet import path_graph
@@ -31,6 +32,52 @@ def test_build_net_rejects_close_include():
     space = unit_line(11)
     with pytest.raises(nt.NetError, match="separation"):
         nt.build_net(space, 2.0, include=[0, 1])
+
+
+def loop_net_members(space, epsilon, include=None):
+    """The member loops build_net used to run, kept as its reference: the
+    greedy members, or the NetError for the first close include pair."""
+    include = sorted(set(include)) if include else []
+    for a in range(len(include)):
+        for b in range(a + 1, len(include)):
+            if space.dist[include[a], include[b]] < epsilon:
+                raise nt.NetError(
+                    f"include set violates separation: points {include[a]} "
+                    f"and {include[b]} are at distance "
+                    f"{space.dist[include[a], include[b]]}"
+                )
+    members = list(include)
+    for p in range(space.n):
+        if p in members:
+            continue
+        if all(space.dist[p, q] >= epsilon for q in members):
+            members.append(p)
+    return members
+
+
+def net_outcome(build, space, epsilon, include):
+    try:
+        out = build(space, epsilon, include)
+    except nt.NetError as err:
+        return str(err)
+    return out if isinstance(out, list) else out.members
+
+
+@given(st.sampled_from(["cloud", "line"]), st.integers(2, 25), st.integers(0, 10 ** 6),
+       st.sampled_from([0.5, 1.0, 2.0, 2.5, 4.0]),
+       st.lists(st.integers(0, 24), max_size=5))
+@example("line", 11, 0, 2.0, [10, 1, 3, 2, 7])  # close pairs (1, 2) and (3, 10)
+@settings(max_examples=150, deadline=None)
+def test_build_net_matches_member_loop(kind, n, seed, eps, include):
+    rng = np.random.default_rng(seed)
+    if kind == "line":  # integer coordinates: distances tie with eps
+        coords = rng.permutation(n).astype(float).tolist()
+    else:
+        coords = rng.uniform(0, 10, (n, 2)).tolist()
+    space = sp.build_space({"type": "euclidean", "coords": coords})
+    include = [i % n for i in include]
+    assert (net_outcome(nt.build_net, space, eps, include)
+            == net_outcome(loop_net_members, space, eps, include))
 
 
 def test_voronoi_ties_to_smallest_id():
@@ -130,6 +177,22 @@ def test_proof_replay_frozen_values():
     # u interpolates u_hat: endpoint values survive the blending
     assert rep.u[0] == pytest.approx(0.0, abs=1e-12)
     assert rep.u[100] == pytest.approx(20.0, abs=1e-12)
+
+
+def test_proof_replay_catches_a_hop_count_jump(monkeypatch):
+    # two extra hops at member 50 make |u_hat(50) - u_hat(48)| = 2 although
+    # d(48, 50) = 2 < eps
+    shortest_paths = ch.ProximityIndex.shortest_paths
+
+    def bumped(self, sources, weighted=True):
+        dist, pred = shortest_paths(self, sources, weighted)
+        dist[50] += 2
+        return dist, pred
+
+    monkeypatch.setattr(ch.ProximityIndex, "shortest_paths", bumped)
+    space = sp.space_from_graph(path_graph(101))
+    with pytest.raises(AssertionError, match="unit-Lipschitz"):
+        nt.proof_replay(space, power_scale(2.0), 0, 100, 6.0)
 
 
 def test_proof_replay_rejects_large_eps():
