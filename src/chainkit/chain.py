@@ -63,7 +63,7 @@ class ChainAnalysis:
     witness_metric: list[int]
     witness_hops: list[int]
 
-    def verify(self, space: FiniteMetricMeasureSpace, rel_tol: float = 1e-12) -> None:
+    def verify(self, space: FiniteMetricMeasureSpace) -> None:
         """Re-sum the witnesses and re-check admissibility."""
         if math.isinf(self.d_eps) != math.isinf(self.n_eps):
             raise ChainError("finiteness of d_eps and n_eps must coincide")
@@ -79,7 +79,7 @@ class ChainAnalysis:
             if path[0] != self.x or path[-1] != self.y:
                 raise ChainError("witness endpoints do not match")
             if total is not None and not math.isclose(
-                sum(hops), total, rel_tol=rel_tol, abs_tol=1e-300
+                sum(hops), total, rel_tol=1e-12, abs_tol=1e-300
             ):
                 raise ChainError("witness length does not reproduce d_eps")
             if count is not None and len(hops) != count:
@@ -272,13 +272,14 @@ def epsilon_of_t(space: FiniteMetricMeasureSpace, psi, x: int, y: int,
     """sup{eps > 0 : F(eps) = (psi(eps)/eps) d_eps(x, y) <= t}, at most the diameter.
 
     Exact: d_eps is a step function of eps with jumps at pairwise distances,
-    and psi(eps)/eps is continuous, so the supremum lies in the topmost
-    interval (lo, hi] of a step where F(hi) <= t (the answer is hi) or
-    F(lo) < t (bisected inside).  The steps are walked from the top and the
-    walk stops at the answer.  The cap is implicit: breaks[-1] is the
-    diameter, so the interval above it is never scanned.  psi is called once
-    per step on all its breaks, so a tabulated psi must cover every break of
-    the steps down to the one holding the answer.
+    and psi(eps)/eps is continuous and monotone between the knots of psi, so
+    with the knots merged into the breaks F is monotone on each interval
+    (lo, hi] and the supremum lies in the topmost one where F(hi) <= t (the
+    answer is hi) or F(lo) < t (bisected inside).  The steps are walked from
+    the top and the walk stops at the answer.  The cap is implicit:
+    breaks[-1] is the diameter, so the interval above it is never scanned.
+    psi is called once per step on all its breaks, so a tabulated psi must
+    cover every break of the steps down to the one holding the answer.
     """
     if t <= 0:
         raise ChainError("t must be positive")
@@ -286,8 +287,10 @@ def epsilon_of_t(space: FiniteMetricMeasureSpace, psi, x: int, y: int,
         raise ChainError("epsilon_of_t requires x != y")
     _check_ids(space, x, y)
     breaks = space.critical_radii()
+    knots = psi.knots
     for j, k, L in _d_eps_steps(space, breaks, x, y):
         e = breaks[j:k + 2]  # interval i of the step is (e[i], e[i + 1]]
+        e = np.union1d(e, knots[(knots > e[0]) & (knots < e[-1])])
         F = psi(e) / e * L
         hit = np.flatnonzero((F[1:] <= t) | (F[:-1] < t))
         if not hit.size:

@@ -210,32 +210,29 @@ def truncated_maximal(target, nu: np.ndarray, x: int, R: float) -> float:
     return float(np.max(nu_cum[sel] / m_cum[sel]))
 
 
-def poincare_constant(form: GraphDirichletForm, psi, x: int, r: float,
-                      A: float = 2.0) -> float:
-    """Optimal constant C in int_{B(x,r)} (f - fbar)^2 dm <= C Psi(r) Gamma(f,f)(B(x,Ar)).
+def poincare_constant(form: GraphDirichletForm, psi, x: int, r: float) -> float:
+    """Optimal constant C in int_{B(x,r)} (f - fbar)^2 dm <= C Psi(r) Gamma(f,f)(B(x,2r)).
 
     Computed as the largest eigenvalue of the variance form against the
-    induced Dirichlet form on B(x, A*r), divided by Psi(r).  Returns 0 when
+    induced Dirichlet form on B(x, 2r), divided by Psi(r).  Returns 0 when
     the inner ball is a single vertex.
     """
     dist = form.geodesic_distances()
     inner = np.flatnonzero(dist[x] < r)
-    outer = np.flatnonzero(dist[x] < A * r)
+    outer = np.flatnonzero(dist[x] < 2.0 * r)
     if inner.size <= 1:
         return 0.0
     W = form.conductances[np.ix_(outer, outer)]
     ncomp, _ = csgraph.connected_components(W, directed=False)
     if ncomp != 1:
-        raise DirichletFormError("B(x, A*r) is disconnected in the graph")
+        raise DirichletFormError("B(x, 2r) is disconnected in the graph")
     deg = np.asarray(W.sum(axis=1)).ravel()
     L = np.diag(deg) - W.toarray()
 
     m_in = form.vertex_measure[inner]
     # variance quadratic form on the inner ball, expressed on outer coordinates
-    pos = {v: i for i, v in enumerate(outer)}
     P = np.zeros((inner.size, outer.size))
-    for i, v in enumerate(inner):
-        P[i, pos[v]] = 1.0
+    P[np.arange(inner.size), np.searchsorted(outer, inner)] = 1.0
     mean_w = m_in / m_in.sum()
     Pc = P - mean_w[None, :] @ P  # subtract m-weighted ball average
     Q = Pc.T @ (m_in[:, None] * Pc)

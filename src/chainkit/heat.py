@@ -94,18 +94,16 @@ class HeatKernelTable:
             return self.kernels[key]
         return _kernel(self.eigenvalues, self.eigenfunctions, key)
 
-    def verify(self, sym_tol: float = 1e-10, stoch_tol: float = 1e-10,
-               semigroup_tol: float = 1e-9, pos_tol: float = 1e-12) -> None:
+    def verify(self) -> None:
         # Positivity is checked up to roundoff: far off-diagonal entries at
         # small times underflow double precision and come out as spectral-sum
-        # noise of either sign, so only entries below -pos_tol are violations.
+        # noise of either sign, so only entries below -1e-12 are violations.
         ts = sorted(self.kernels)
         d = kernel_defects(self, [(ts[0], ts[1])] if len(ts) >= 2 else [])
-        for name, tol in (("symmetry", sym_tol), ("stochasticity", stoch_tol),
-                          ("semigroup", semigroup_tol)):
+        for name, tol in (("symmetry", 1e-10), ("stochasticity", 1e-10), ("semigroup", 1e-9)):
             if d[name] > tol:
                 raise HeatError(f"kernel {name} defect {d[name]} exceeds {tol}")
-        if d["min_entry"] < -pos_tol and self.form.is_connected():
+        if d["min_entry"] < -1e-12 and self.form.is_connected():
             raise HeatError(f"kernel entry {d['min_entry']} is not positive up to roundoff")
 
 
@@ -167,15 +165,14 @@ class SubGaussianFit:
 
 
 def sub_gaussian_fit(table: HeatKernelTable, dist: np.ndarray,
-                     pairs=None, beta_grid=BETA_GRID,
-                     band: tuple[float, float] = FIT_BAND) -> SubGaussianFit:
+                     pairs=None, beta_grid=BETA_GRID) -> SubGaussianFit:
     """Fit the walk exponent of a sub-Gaussian heat-kernel envelope.
 
     Stage one regresses log p_t(x, x) against log t (on-diagonal volume
     behavior).  Stage two scans candidate exponents beta: for each, it
     regresses -log[p_t(x,y) V(x, t^(1/beta))] against (d^beta / t)^(1/(beta-1))
-    over the window band[0] <= d^beta / t <= band[1], and keeps the beta
-    with the smallest normalized residual.  Pairs within 10% of the
+    over the window FIT_BAND[0] <= d^beta / t <= FIT_BAND[1], and keeps the
+    beta with the smallest normalized residual.  Pairs within 10% of the
     diameter are excluded (finite-size tail pollution).
 
     Kernel values come from one ``table.rows`` block per distinct centre and
@@ -225,7 +222,7 @@ def sub_gaussian_fit(table: HeatKernelTable, dist: np.ndarray,
     per_beta = {}
     for b, beta in enumerate(beta_grid):
         u = (ds ** beta)[None, :] / times[:, None]  # t-major, pair-minor points
-        keep = (band[0] <= u) & (u <= band[1]) & (K > 0)
+        keep = (FIT_BAND[0] <= u) & (u <= FIT_BAND[1]) & (K > 0)
         if keep.sum() < 8:
             per_beta[float(beta)] = math.inf
             continue
@@ -252,22 +249,19 @@ def sub_gaussian_fit(table: HeatKernelTable, dist: np.ndarray,
 
 
 def chaining_lower_bound(table: HeatKernelTable, dist: np.ndarray, x: int,
-                         y: int, t: float, n: int,
-                         near_diag: tuple[float, float] = (8.0, 2.0)) -> float:
+                         y: int, t: float, n: int) -> float:
     """Restricted Chapman-Kolmogorov lower bound on p_t(x, y) along a chain.
 
-    near_diag = (C, beta) prescribes the admissible hop scale
-    h = C (t/n)^(1/beta): the n-1 intermediate sums run over balls of radius
-    h/2 around evenly spaced points of a shortest path from x to y, and a
-    transition factor p_{t/n}(u, v) is kept only when d(u, v) <= h (the
-    near-diagonal window).  Since every discarded term is nonnegative, the
-    result is a genuine lower bound on p_t(x, y) for every n; with n = 1 and
-    an admissible pair it is exactly p_t(x, y).
+    The admissible hop scale is h = 8 (t/n)^(1/2): the n-1 intermediate
+    sums run over balls of radius h/2 around evenly spaced points of a
+    shortest path from x to y, and a transition factor p_{t/n}(u, v) is kept
+    only when d(u, v) <= h (the near-diagonal window).  Since every discarded
+    term is nonnegative, the result is a genuine lower bound on p_t(x, y) for
+    every n; with n = 1 and an admissible pair it is exactly p_t(x, y).
     """
     if n < 1:
         raise HeatError("chain length must be >= 1")
-    C, beta = near_diag
-    h = C * (t / n) ** (1.0 / beta)
+    h = 8.0 * (t / n) ** 0.5
     P = table.kernel_at(t / n)
     admissible = dist <= h
     if n == 1:
@@ -359,16 +353,14 @@ def sierpinski_gasket_graph(level: int) -> GraphDirichletForm:
     return GraphDirichletForm(w, np.ones(n), coords=coords)
 
 
-def mean_exit_time(form: GraphDirichletForm, x: int, r: float,
-                   dist: np.ndarray | None = None) -> float:
+def mean_exit_time(form: GraphDirichletForm, x: int, r: float) -> float:
     """E_x of the exit time of B(x, r), by an exact linear solve.
 
     Solves (D - W) u = m on the open ball with u = 0 outside; raises when
-    the ball is the whole graph (the walk never exits).
+    the ball is the whole graph (the walk never exits).  The ball comes from
+    one shortest-path row from x.
     """
-    if dist is None:
-        dist = form.geodesic_distances()
-    ball = np.flatnonzero(dist[x] < r)
+    ball = np.flatnonzero(csgraph.dijkstra(form.lengths, directed=False, indices=x) < r)
     if ball.size == form.n:
         raise DirichletFormError("ball is the whole graph; exit time is infinite")
     L = form.laplacian().tocsr()
@@ -386,13 +378,13 @@ def exit_time_walk_dimension(form: GraphDirichletForm, centers, radii) -> dict:
     radii = np.asarray(sorted(radii), dtype=float)
     if radii[-1] / radii[0] < 9.9:
         raise HeatError("radii must span at least one decade")
-    dist = form.geodesic_distances()
     logs_r, logs_E, rows = [], [], []
     for x in centers:
         for r in radii:
-            if (dist[x] < r).sum() == form.n:
+            try:
+                E = mean_exit_time(form, x, r)
+            except DirichletFormError:  # the ball is the whole graph
                 continue
-            E = mean_exit_time(form, x, r, dist)
             logs_r.append(math.log(r))
             logs_E.append(math.log(E))
             rows.append({"center": int(x), "radius": float(r), "exit_time": E})

@@ -192,14 +192,14 @@ class ReplayReport:
 
 
 def proof_replay(space: FiniteMetricMeasureSpace, psi_scale, x: int, y: int,
-                 epsilon: float, R: float | None = None) -> ReplayReport:
+                 epsilon: float) -> ReplayReport:
     """Rebuild the chain-counting test function and check its bounds.
 
     Steps: build the eps/3-net containing {x, y}, set u_hat(z) = N_eps(x, z)
     on members, assert the unit-Lipschitz property on eps-close member
     pairs, blend u through the partition of unity, and evaluate the
-    truncated maximal function of the energy measure of u at all members.
-    R defaults to 2 d(x, y).
+    truncated maximal function of the energy measure of u at all members,
+    with truncation radius R = 2 d(x, y).
     """
     if space.graph is None:
         raise NetError("proof replay requires a graph-backed space")
@@ -236,8 +236,7 @@ def proof_replay(space: FiniteMetricMeasureSpace, psi_scale, x: int, y: int,
         if not np.allclose(u[plateau], u_hat[z], rtol=0, atol=1e-9):
             raise AssertionError("u does not equal u_hat on the plateau")
 
-    if R is None:
-        R = 2.0 * d_xy
+    R = 2.0 * d_xy
     max_M = max(df.truncated_maximal(space, gamma, z, R) for z in mem)
     maximal_constant = psi_scale(epsilon) * max_M
 

@@ -50,7 +50,9 @@ class ScaleFunction:
         if self.kind == "power":
             out = r ** self.params["beta"]
         elif self.kind == "piecewise":
-            out = _piecewise_eval(self.params["breakpoints"], self.params["exponents"], r)
+            bp, ex = self.params["breakpoints"], self.params["exponents"]
+            knots = _piecewise_knots(bp, ex)
+            out = _power_pieces(r, [0.0] + bp + [math.inf], [1.0] + bp, [1.0] + knots, ex)
         elif self.kind == "table":
             out = _table_eval(self.params["r"], self.params["values"], r)
         else:
@@ -65,12 +67,24 @@ class ScaleFunction:
             out = v ** (1.0 / self.params["beta"])
         elif self.kind == "piecewise":
             bp, ex = self.params["breakpoints"], self.params["exponents"]
-            out = _piecewise_inverse(bp, ex, v)
+            knots = _piecewise_knots(bp, ex)
+            out = _power_pieces(v, [0.0] + knots + [math.inf], [1.0] + knots, [1.0] + bp,
+                                [1.0 / e for e in ex])
         elif self.kind == "table":
             out = _table_eval(self.params["values"], self.params["r"], v)
         else:
             raise ScaleError(f"unknown scale-function kind {self.kind!r}")
         return float(out) if out.ndim == 0 else out
+
+    @property
+    def knots(self) -> np.ndarray:
+        """Radii where the power-law pieces of psi meet (none for a power), so
+        psi(r)/r is monotone between consecutive knots."""
+        if self.kind == "piecewise":
+            return np.asarray(self.params["breakpoints"], dtype=float)
+        if self.kind == "table":
+            return self.params["r"]
+        return np.empty(0)
 
 
 def power_scale(beta: float) -> ScaleFunction:
@@ -113,42 +127,23 @@ def tabulated_scale(r, values, beta1, beta2, C_reg) -> ScaleFunction:
                          params={"r": r, "values": values})
 
 
-def _piecewise_eval(breakpoints, exponents, r):
-    # anchors chosen so the pieces join continuously with value b**e at each b
-    out = np.empty_like(r, dtype=float)
-    edges = [0.0] + list(breakpoints) + [math.inf]
-    scale = 1.0
-    anchor = 1.0
-    for i, e in enumerate(exponents):
-        lo, hi = edges[i], edges[i + 1]
-        mask = (r > lo) & (r <= hi) if i < len(exponents) - 1 else (r > lo)
-        out[mask] = scale * (r[mask] / anchor) ** e
-        if i < len(breakpoints):
-            b = breakpoints[i]
-            scale = scale * (b / anchor) ** e
-            anchor = b
-    return out
-
-
-def _piecewise_inverse(breakpoints, exponents, v):
-    edges = [0.0] + list(breakpoints)
-    # values at breakpoints
-    vals = []
-    scale, anchor = 1.0, 1.0
-    for i, b in enumerate(breakpoints):
-        scale = scale * (b / anchor) ** exponents[i]
+def _piecewise_knots(breakpoints, exponents) -> list[float]:
+    """psi at each breakpoint: psi(r) = r**exponents[0] up to the first one,
+    and the pieces join continuously."""
+    knots, scale, anchor = [], 1.0, 1.0
+    for b, e in zip(breakpoints, exponents):
+        scale = scale * (b / anchor) ** e
         anchor = b
-        vals.append(scale)
-    out = np.empty_like(v, dtype=float)
-    scale, anchor = 1.0, 1.0
-    vedges = [0.0] + vals + [math.inf]
-    for i, e in enumerate(exponents):
-        lo, hi = vedges[i], vedges[i + 1]
-        mask = (v > lo) & (v <= hi) if i < len(exponents) - 1 else (v > lo)
-        out[mask] = anchor * (v[mask] / scale) ** (1.0 / e)
-        if i < len(breakpoints):
-            scale = vals[i]
-            anchor = breakpoints[i]
+        knots.append(scale)
+    return knots
+
+
+def _power_pieces(q, edges, x0, y0, powers):
+    """y0[i] * (q / x0[i]) ** powers[i] on (edges[i], edges[i + 1]]."""
+    out = np.empty_like(q, dtype=float)
+    for i, p in enumerate(powers):
+        mask = (q > edges[i]) & (q <= edges[i + 1])
+        out[mask] = y0[i] * (q[mask] / x0[i]) ** p
     return out
 
 
@@ -161,14 +156,31 @@ def _table_eval(xs, ys, q):
     return np.exp(np.interp(np.log(q), np.log(xs), np.log(ys)))
 
 
-def _geometric_grid(lo: float, hi: float, per_decade: int) -> np.ndarray:
+def _geometric_grid(lo: float, hi: float) -> np.ndarray:
     decades = math.log10(hi / lo)
-    npts = max(2, int(math.ceil(decades * per_decade)) + 1)
+    npts = max(2, int(math.ceil(decades * GRID_POINTS_PER_DECADE)) + 1)
     return np.geomspace(lo, hi, npts)
 
 
-def verify_regularity(psi: ScaleFunction, window,
-                      per_decade: int = GRID_POINTS_PER_DECADE) -> dict:
+def _log_ratios(grid, vals):
+    """log(v_j / v_i) and log(g_j / g_i) over the grid pairs i < j."""
+    lg = np.log(grid)
+    lv = np.log(vals)
+    i, j = np.triu_indices(grid.size, 1)
+    return lv[j] - lv[i], lg[j] - lg[i]
+
+
+def _power_law_certificate(grid, vals, b_lo, b_hi, C_claim, window) -> dict:
+    """The smallest C >= 1 with C^-1 (g_j/g_i)^b_lo <= v_j/v_i <= C (g_j/g_i)^b_hi
+    over the grid pairs i < j, and whether it is <= C_claim."""
+    ratio, span = _log_ratios(grid, vals)
+    best_C = max(1.0, float(np.exp(np.max(ratio - b_hi * span))),
+                 float(np.exp(np.max(b_lo * span - ratio))))
+    return {"ok": best_C <= C_claim * (1 + 1e-12), "best_C": best_C,
+            "window": [float(window[0]), float(window[1])], "grid_points": int(grid.size)}
+
+
+def verify_regularity(psi: ScaleFunction, window) -> dict:
     """Grid certificate for C^-1 (R/r)^b1 <= psi(R)/psi(r) <= C (R/r)^b2.
 
     Returns the smallest C making both bounds hold on a geometric grid over
@@ -177,38 +189,23 @@ def verify_regularity(psi: ScaleFunction, window,
     r_min, r_max = window
     if not 0 < r_min < r_max:
         raise ScaleError("window must satisfy 0 < r_min < r_max")
-    grid = _geometric_grid(r_min, r_max, per_decade)
+    grid = _geometric_grid(r_min, r_max)
     vals = psi.value(grid)
     if (np.diff(vals) <= 0).any():
         raise ScaleError("scale function is not increasing on the window")
-    lr = np.log(grid)
-    lv = np.log(vals)
-    best_C = 1.0
-    i, j = np.triu_indices(grid.size, 1)
-    ratio = lv[j] - lv[i]
-    span = lr[j] - lr[i]
-    # psi(R)/psi(r) <= C (R/r)^b2  and  >= C^-1 (R/r)^b1
-    best_C = max(
-        1.0,
-        float(np.exp(np.max(ratio - psi.beta2 * span))),
-        float(np.exp(np.max(psi.beta1 * span - ratio))),
-    )
-    return {"ok": best_C <= psi.C_reg * (1 + 1e-12), "best_C": best_C,
-            "window": [float(r_min), float(r_max)], "grid_points": int(grid.size)}
+    return _power_law_certificate(grid, vals, psi.beta1, psi.beta2, psi.C_reg, window)
 
 
 @dataclass
 class PhiTransform:
     """Conjugate transform phi(s) = sup_{r>0} (s/r - 1/psi(r)).
 
-    Power scale functions use the closed form; anything else a log-grid scan
+    Power scale functions use the closed form; any other kind a log-grid scan
     refined by golden-section search.  phi is nonnegative, nondecreasing and
     convex as a sup of affine functions of s.
     """
 
     source: ScaleFunction
-    method: str = "auto"
-    rel_tol: float = 1e-8
 
     def __call__(self, s):
         if np.ndim(s) == 0:
@@ -218,10 +215,8 @@ class PhiTransform:
     def value(self, s: float) -> float:
         if s <= 0:
             raise ScaleError("phi is defined for s > 0")
-        if self.method in ("auto", "closed-form") and self.source.kind == "power":
+        if self.source.kind == "power":
             return phi_power_closed_form(self.source.params["beta"], s)
-        if self.method == "closed-form":
-            raise ScaleError("closed form requires a power scale function")
         return self._numeric_sup(s)
 
     def _numeric_sup(self, s: float) -> float:
@@ -236,21 +231,21 @@ class PhiTransform:
         def objective(r):
             return s / r - 1.0 / float(self.source.value(r))
 
-        grid = _geometric_grid(lo, hi, GRID_POINTS_PER_DECADE)
+        grid = _geometric_grid(lo, hi)
         vals = np.array([objective(r) for r in grid])
         k = int(np.argmax(vals))
         a = grid[max(k - 1, 0)]
         b = grid[min(k + 1, grid.size - 1)]
-        best = _golden_max(objective, math.log(a), math.log(b), self.rel_tol)
+        best = _golden_max(objective, math.log(a), math.log(b))
         return max(best, float(vals[k]), 0.0)
 
 
-def _golden_max(f, lo, hi, rel_tol):
-    # maximize f(exp(t)) on [lo, hi] assuming unimodality
+def _golden_max(f, lo, hi):
+    # maximize f(exp(t)) on [lo, hi] assuming unimodality, to a width of 1e-8 in t
     c = hi - GOLDEN * (hi - lo)
     d = lo + GOLDEN * (hi - lo)
     fc, fd = f(math.exp(c)), f(math.exp(d))
-    while hi - lo > rel_tol:
+    while hi - lo > 1e-8:
         if fc >= fd:
             hi, d, fd = d, c, fc
             c = hi - GOLDEN * (hi - lo)
@@ -269,8 +264,7 @@ def phi_power_closed_form(beta: float, s: float) -> float:
     return s ** (beta / (beta - 1.0)) * beta ** (-1.0 / (beta - 1.0)) * (1.0 - 1.0 / beta)
 
 
-def verify_phi_regularity(phi: PhiTransform, window,
-                          per_decade: int = GRID_POINTS_PER_DECADE) -> dict:
+def verify_phi_regularity(phi: PhiTransform, window) -> dict:
     """Grid certificate for the conjugate exponent bounds on phi(S)/phi(s).
 
     The exponents are beta2/(beta2-1) (lower) and beta1/(beta1-1) (upper);
@@ -285,47 +279,28 @@ def verify_phi_regularity(phi: PhiTransform, window,
     if s_min == s_max:
         return {"ok": True, "best_C": 1.0, "window": [float(s_min), float(s_max)],
                 "grid_points": 1}
-    grid = _geometric_grid(s_min, s_max, per_decade)
+    grid = _geometric_grid(s_min, s_max)
     vals = np.array([phi.value(float(s)) for s in grid])
-    ls = np.log(grid)
-    lv = np.log(vals)
-    i, j = np.triu_indices(grid.size, 1)
-    ratio = lv[j] - lv[i]
-    span = ls[j] - ls[i]
-    e_hi = psi.beta1 / (psi.beta1 - 1.0)
-    e_lo = psi.beta2 / (psi.beta2 - 1.0)
-    best_C = max(
-        1.0,
-        float(np.exp(np.max(ratio - e_hi * span))),
-        float(np.exp(np.max(e_lo * span - ratio))),
-    )
-    return {"ok": best_C <= psi.C_reg * (1 + 1e-12), "best_C": best_C,
-            "window": [float(s_min), float(s_max)], "grid_points": int(grid.size)}
+    return _power_law_certificate(grid, vals, psi.beta2 / (psi.beta2 - 1.0),
+                                  psi.beta1 / (psi.beta1 - 1.0), psi.C_reg, window)
 
 
-def walk_dimension_lower_check(psi: ScaleFunction, space_diam: float, window,
-                               per_decade: int = GRID_POINTS_PER_DECADE,
-                               c1_cap: float = 1e6) -> dict:
+def walk_dimension_lower_check(psi: ScaleFunction, space_diam: float, window) -> dict:
     """Check psi(r)/psi(s) >= C1^-1 (r/s)^2 on a grid over the window.
 
     Returns the smallest admissible C1 and flags failure when the observed
-    growth exponent stays below 2 over a full decade (or no C1 below the cap
+    growth exponent stays below 2 over a full decade (or no C1 below 1e6
     works).
     """
     r_min, r_max = window
     if not 0 < r_min < r_max <= space_diam:
         raise ScaleError("window must lie inside (0, space diameter]")
-    grid = _geometric_grid(r_min, r_max, per_decade)
-    vals = psi.value(grid)
-    lr = np.log(grid)
-    lv = np.log(vals)
-    i, j = np.triu_indices(grid.size, 1)
-    ratio = lv[j] - lv[i]
-    span = lr[j] - lr[i]
+    grid = _geometric_grid(r_min, r_max)
+    ratio, span = _log_ratios(grid, psi.value(grid))
     C1 = max(1.0, float(np.exp(np.max(2.0 * span - ratio))))
     decade = span >= math.log(10.0) * (1 - 1e-12)
     min_decade_slope = float(np.min(ratio[decade] / span[decade])) if decade.any() else 2.0
-    ok = C1 <= c1_cap and min_decade_slope >= 2.0 - 1e-9
+    ok = C1 <= 1e6 and min_decade_slope >= 2.0 - 1e-9
     return {"ok": ok, "C1": C1, "min_decade_exponent": min_decade_slope,
             "window": [float(r_min), float(r_max)]}
 

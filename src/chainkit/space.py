@@ -219,7 +219,7 @@ def volume_profile(space: FiniteMetricMeasureSpace, x: int) -> VolumeProfile:
     order = np.argsort(space.dist[x])
     d = space.dist[x][order]
     cum = np.cumsum(space.measure[order])
-    radii, last = np.unique(d, return_index=True)
+    radii = np.unique(d)
     # cumulative mass of the closed ball {d <= radius}
     counts = np.searchsorted(d, radii, side="right") - 1
     return VolumeProfile(center=x, radii=radii, volumes=cum[counts])

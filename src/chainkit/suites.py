@@ -48,8 +48,9 @@ def suite_geodesic() -> dict:
     return {"suite": "geodesic", "ok": all(c["ok"] for c in checks), "checks": checks}
 
 
-def suite_snowflake(beta: float = 3.0) -> dict:
-    """Sharpness of the chain-length bound on the snowflaked grid."""
+def suite_snowflake() -> dict:
+    """Sharpness of the chain-length bound on the grid snowflaked by beta = 3."""
+    beta = 3.0
     space = sp.build_space({"type": "snowflake", "beta": beta,
                             "coords": np.linspace(0.0, 1.0, 101).tolist()})
     psi = power_scale(beta)
@@ -113,16 +114,17 @@ def suite_gasket() -> dict:
     return {"suite": "gasket", "ok": all(c["ok"] for c in checks), "checks": checks}
 
 
-def suite_replay(maximal_constant_cap: float = 50.0) -> dict:
+def suite_replay() -> dict:
     """Proof replay on the 101-vertex path with the quadratic scale."""
+    cap = 50.0
     space = sp.space_from_graph(path_graph(101))
     psi = power_scale(2.0)
     report = nt.proof_replay(space, psi, x=0, y=100, epsilon=6.0)
     checks = [
         _check("unit-Lipschitz chain counts on eps-close members",
                report.lipschitz_ok),
-        _check(f"Psi(eps) * max maximal function <= {maximal_constant_cap}",
-               report.maximal_constant <= maximal_constant_cap,
+        _check(f"Psi(eps) * max maximal function <= {cap}",
+               report.maximal_constant <= cap,
                value=report.maximal_constant),
         _check("recovered N_eps^2 <= C Psi(d)/Psi(eps)",
                report.recovered_ok, C=report.recovered_constant),

@@ -21,6 +21,7 @@ import chainkit.space as sp
 from chainkit.scale import (
     PhiTransform,
     phi_power_closed_form,
+    piecewise_scale,
     power_scale,
     verify_phi_regularity,
     walk_dimension_lower_check,
@@ -85,7 +86,8 @@ def test_criterion_04_walk_dimension_and_phi_regularity():
 def test_criterion_05_phi_closed_form():
     t0 = time.time()
     for beta in (2.0, 2.5, 3.0):
-        phi_num = PhiTransform(power_scale(beta), method="numeric")
+        # r^beta as a one-piece piecewise psi: the numeric sup, not the closed form
+        phi_num = PhiTransform(piecewise_scale([], [beta]))
         for s in np.geomspace(1e-3, 1e3, 31):
             cf = phi_power_closed_form(beta, float(s))
             assert abs(phi_num.value(float(s)) - cf) <= 1e-6 * cf

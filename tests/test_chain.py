@@ -9,7 +9,7 @@ import chainkit.chain as ch
 import chainkit.space as sp
 from chainkit.dirichlet import path_graph
 from chainkit.heat import sierpinski_gasket_graph
-from chainkit.scale import piecewise_scale, power_scale
+from chainkit.scale import piecewise_scale, power_scale, tabulated_scale
 
 
 def unit_line(n=11):
@@ -294,9 +294,14 @@ def eot_outcome(fn, space, psi, x, y, t):
 
 
 PSIS = {"power-1.5": power_scale(1.5), "power-2": power_scale(2.0),
-        "power-3": power_scale(3.0),
-        # psi(r)/r falls on (0.5, 2]: F is not monotone inside an interval
-        "piecewise": piecewise_scale([0.5, 2.0], [2.0, 0.6, 3.0])}
+        "power-3": power_scale(3.0)}
+# psi(r)/r falls on (0.5, 2]: F need not be monotone inside an interval of
+# d_eps, which the interval scan above misses
+PIECEWISE = piecewise_scale([0.5, 2.0], [2.0, 0.6, 3.0])
+# the same psi as a table: log-log interpolation is exact between its knots
+TABLE_R = np.array([1e-9, 0.5, 2.0, 1e3])
+KNOTTED = {"piecewise": PIECEWISE,
+           "table": tabulated_scale(TABLE_R, PIECEWISE(TABLE_R), 0.6, 3.0, 1.0)}
 
 
 def eot_times(space, psi, x, y, data):
@@ -355,16 +360,17 @@ def test_epsilon_of_t_matches_interval_scan_on_resistance_gasket():
 
 
 @given(st.sampled_from(["euclidean", "snowflake"]), st.integers(2, 10),
-       st.integers(0, 10 ** 6), st.sampled_from([1.5, 2.0, 3.0]), st.floats(-3.0, 3.0))
+       st.integers(0, 10 ** 6), st.sampled_from(sorted(PSIS) + sorted(KNOTTED)),
+       st.floats(-3.0, 3.0))
 @settings(max_examples=80, deadline=None)
-def test_epsilon_of_t_is_the_supremum(kind, n, seed, beta, log_t):
-    # F(e) = e^(beta - 1) d_e(x, y) with d_e from networkx
+def test_epsilon_of_t_is_the_supremum(kind, n, seed, psi_name, log_t):
+    # F(e) = psi(e)/e d_e(x, y) with d_e from networkx
     rng = np.random.default_rng(seed)
     spec = {"type": kind, "coords": rng.uniform(0, 1, (n, 2)).tolist()}
     if kind == "snowflake":
         spec["beta"] = 3.0
     space = sp.build_space(spec)
-    psi, t = power_scale(beta), 10.0 ** log_t
+    psi, t = {**PSIS, **KNOTTED}[psi_name], 10.0 ** log_t
 
     def F(e):
         return psi(e) / e * _nx_d_eps(space, e, 0, n - 1)
@@ -372,14 +378,42 @@ def test_epsilon_of_t_is_the_supremum(kind, n, seed, beta, log_t):
     try:
         eps = ch.epsilon_of_t(space, psi, 0, n - 1, t)
     except ch.ChainError:
-        # then F > t on every scale up to the diameter; F rises inside each
-        # interval (b, b'] of d_eps, so its least value is just above b
-        assert all(F(np.nextafter(b, np.inf)) > t for b in space.critical_radii()[:-1])
+        # then F > t on every scale up to the diameter; F is monotone between
+        # consecutive breaks of d_eps and knots of psi, so its least value on
+        # each interval is just above a break or at a knot
+        breaks = space.critical_radii()
+        assert all(F(np.nextafter(b, np.inf)) > t for b in breaks[:-1])
+        assert all(F(k) > t for k in psi.knots if breaks[0] < k <= breaks[-1])
         return
     assert F(eps) <= t * (1 + 1e-12)
     above = eps * (1 + 1e-9)
     if above < space.diameter():
         assert F(above) > t
+
+
+@pytest.mark.parametrize("kind", sorted(KNOTTED))
+def test_epsilon_of_t_finds_the_supremum_past_a_dip_of_psi_over_r(kind):
+    # breaks 1.295, 1.333, 2.366 and d_eps(0, 1) = d(0, 1) above the first;
+    # t = F(1.333), and psi(e)/e falls up to the knot 2.0 and rises after it,
+    # so F(2.0) = 0.372 < t inside (1.333, 2.366] though F >= t at both ends
+    coords = np.random.default_rng(0).uniform(0, 2, (3, 2))
+    space = sp.build_space({"type": "euclidean", "coords": coords.tolist()})
+    psi, t = KNOTTED[kind], 0.437408377008045
+    assert psi(2.0) / 2.0 * space.dist[0, 1] < t
+    eps = ch.epsilon_of_t(space, psi, 0, 1, t)
+    assert eps == pytest.approx(2.1689195236640018, rel=1e-9)
+    assert psi(eps) / eps * space.dist[0, 1] <= t * (1 + 1e-12)
+
+
+def test_epsilon_of_t_finds_a_time_met_only_at_a_knot():
+    # line {0, 1, 3}: d_eps(0, 2) = 3 on (2, 3]; F falls to the knot 2.5 and
+    # then rises, so t = 1.01 F(2.5) is met near 2.5 but at neither end
+    space = sp.build_space({"type": "euclidean", "coords": [0.0, 1.0, 3.0]})
+    psi = piecewise_scale([2.5], [0.5, 3.0])
+    t = 1.01 * psi(2.5) / 2.5 * 3.0
+    eps = ch.epsilon_of_t(space, psi, 0, 2, t)
+    assert 2.5 < eps < 3.0
+    assert psi(eps) / eps * 3.0 == pytest.approx(t, rel=1e-12)
 
 
 @given(st.integers(2, 8), st.integers(0, 10 ** 6), st.floats(0.05, 2.0))
