@@ -2,24 +2,26 @@
 
 A scale function is a strictly increasing bijection of (0, inf) onto itself
 with two-sided power-law control: C^-1 (R/r)^b1 <= psi(R)/psi(r) <= C (R/r)^b2.
-The conjugate transform is phi(s) = sup_{r>0} (s/r - 1/psi(r)); for power
-scale functions it has the closed form
+Every kind is a chain of power-law pieces psi(r) = y0 (r/x0)^p (a table is
+log-log linear between its rows), so the conjugate transform
+phi(s) = sup_{r>0} (s/r - 1/psi(r)) is exact: on a piece with p > 1 the
+stationary point gives c^(-1/(p-1)) times the power closed form
 
-    phi(s) = s^(b/(b-1)) * b^(-1/(b-1)) * (1 - 1/b),
+    phi(s) = s^(p/(p-1)) * p^(-1/(p-1)) * (1 - 1/p),    c = x0^p / y0,
 
-obtained by solving the stationarity condition for r.  All grid certificates
-produced here are grid-verified statements, not proofs.
+and otherwise the sup sits at a piece end.  All grid certificates produced
+here are grid-verified statements, not proofs.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 GRID_POINTS_PER_DECADE = 64
-GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 class ScaleError(ValueError):
@@ -45,46 +47,53 @@ class ScaleFunction:
 
     def value(self, r):
         r = np.asarray(r, dtype=float)
-        if (r <= 0).any():
+        if not (r > 0).all():
             raise ScaleError("scale functions are defined for r > 0")
-        if self.kind == "power":
-            out = r ** self.params["beta"]
-        elif self.kind == "piecewise":
-            bp, ex = self.params["breakpoints"], self.params["exponents"]
-            knots = _piecewise_knots(bp, ex)
-            out = _power_pieces(r, [0.0] + bp + [math.inf], [1.0] + bp, [1.0] + knots, ex)
-        elif self.kind == "table":
+        if self.kind == "table":
             out = _table_eval(self.params["r"], self.params["values"], r)
         else:
-            raise ScaleError(f"unknown scale-function kind {self.kind!r}")
+            lo, hi, x0, y0, p = self.pieces
+            out = _power_pieces(r, np.append(lo, np.inf), x0, y0, p)
         return float(out) if out.ndim == 0 else out
 
     def inverse(self, v):
         v = np.asarray(v, dtype=float)
-        if (v <= 0).any():
+        if not (v > 0).all():
             raise ScaleError("inverse is defined for v > 0")
-        if self.kind == "power":
-            out = v ** (1.0 / self.params["beta"])
-        elif self.kind == "piecewise":
-            bp, ex = self.params["breakpoints"], self.params["exponents"]
-            knots = _piecewise_knots(bp, ex)
-            out = _power_pieces(v, [0.0] + knots + [math.inf], [1.0] + knots, [1.0] + bp,
-                                [1.0 / e for e in ex])
-        elif self.kind == "table":
+        if self.kind == "table":
             out = _table_eval(self.params["values"], self.params["r"], v)
         else:
-            raise ScaleError(f"unknown scale-function kind {self.kind!r}")
+            x0, y0, p = self.pieces[2:]
+            # psi(lo[i]) = y0[i] past the first piece, which starts at psi(0) = 0
+            out = _power_pieces(v, np.r_[0.0, y0[1:], np.inf], y0, x0, 1.0 / p)
         return float(out) if out.ndim == 0 else out
+
+    @cached_property
+    def pieces(self) -> tuple[np.ndarray, ...]:
+        """Arrays (lo, hi, x0, y0, p) with psi(r) = y0 (r/x0)^p on (lo, hi]: one
+        piece (0, inf) for a power, k + 1 for k breakpoints, and one per pair of
+        consecutive rows of a table (p its log-log slope)."""
+        if self.kind == "power":
+            return (np.zeros(1), np.full(1, np.inf), np.ones(1), np.ones(1),
+                    np.array([self.params["beta"]]))
+        if self.kind == "piecewise":  # psi(r) = r^p[0] up to the first breakpoint
+            bp, ex = self.params["breakpoints"], self.params["exponents"]
+            x0, y0 = [1.0] + bp, [1.0]
+            for i, b in enumerate(bp):  # the pieces join continuously
+                y0.append(y0[i] * (b / x0[i]) ** ex[i])
+            return (np.array([0.0] + bp), np.array(bp + [math.inf]), np.array(x0),
+                    np.array(y0), np.array(ex))
+        if self.kind == "table":
+            r, v = self.params["r"], self.params["values"]
+            return r[:-1], r[1:], r[:-1], v[:-1], np.diff(np.log(v)) / np.diff(np.log(r))
+        raise ScaleError(f"unknown scale-function kind {self.kind!r}")
 
     @property
     def knots(self) -> np.ndarray:
-        """Radii where the power-law pieces of psi meet (none for a power), so
-        psi(r)/r is monotone between consecutive knots."""
-        if self.kind == "piecewise":
-            return np.asarray(self.params["breakpoints"], dtype=float)
-        if self.kind == "table":
-            return self.params["r"]
-        return np.empty(0)
+        """The finite positive piece ends of psi (none for a power), so psi(r)/r
+        is monotone between consecutive knots."""
+        ends = np.append(self.pieces[0], self.pieces[1][-1])
+        return ends[(ends > 0) & (ends < np.inf)]
 
 
 def power_scale(beta: float) -> ScaleFunction:
@@ -127,17 +136,6 @@ def tabulated_scale(r, values, beta1, beta2, C_reg) -> ScaleFunction:
                          params={"r": r, "values": values})
 
 
-def _piecewise_knots(breakpoints, exponents) -> list[float]:
-    """psi at each breakpoint: psi(r) = r**exponents[0] up to the first one,
-    and the pieces join continuously."""
-    knots, scale, anchor = [], 1.0, 1.0
-    for b, e in zip(breakpoints, exponents):
-        scale = scale * (b / anchor) ** e
-        anchor = b
-        knots.append(scale)
-    return knots
-
-
 def _power_pieces(q, edges, x0, y0, powers):
     """y0[i] * (q / x0[i]) ** powers[i] on (edges[i], edges[i + 1]]."""
     out = np.empty_like(q, dtype=float)
@@ -173,9 +171,12 @@ def _log_ratios(grid, vals):
 def _power_law_certificate(grid, vals, b_lo, b_hi, C_claim, window) -> dict:
     """The smallest C >= 1 with C^-1 (g_j/g_i)^b_lo <= v_j/v_i <= C (g_j/g_i)^b_hi
     over the grid pairs i < j, and whether it is <= C_claim."""
-    ratio, span = _log_ratios(grid, vals)
-    best_C = max(1.0, float(np.exp(np.max(ratio - b_hi * span))),
-                 float(np.exp(np.max(b_lo * span - ratio))))
+    if not (vals > 0).all():  # no power law reaches 0, and log 0 would hide it
+        best_C = math.inf
+    else:
+        ratio, span = _log_ratios(grid, vals)
+        best_C = max(1.0, float(np.exp(np.max(ratio - b_hi * span))),
+                     float(np.exp(np.max(b_lo * span - ratio))))
     return {"ok": best_C <= C_claim * (1 + 1e-12), "best_C": best_C,
             "window": [float(window[0]), float(window[1])], "grid_points": int(grid.size)}
 
@@ -198,11 +199,14 @@ def verify_regularity(psi: ScaleFunction, window) -> dict:
 
 @dataclass
 class PhiTransform:
-    """Conjugate transform phi(s) = sup_{r>0} (s/r - 1/psi(r)).
+    """Conjugate transform phi(s) = sup_{r>0} (s/r - 1/psi(r)), exact per piece.
 
-    Power scale functions use the closed form; any other kind a log-grid scan
-    refined by golden-section search.  phi is nonnegative, nondecreasing and
-    convex as a sup of affine functions of s.
+    The sup is the largest of the stationary values of the pieces with p > 1
+    whose maximiser lies on the piece, the values at the finite piece ends and
+    0 (the limit as r -> inf).  phi is nonnegative, nondecreasing and convex
+    as a sup of affine functions of s.  A table gives psi on its range only:
+    phi is then the sup over that range, and it raises when that sup is not
+    inside the range.
     """
 
     source: ScaleFunction
@@ -213,48 +217,31 @@ class PhiTransform:
         return np.array([self.value(float(v)) for v in np.asarray(s).ravel()])
 
     def value(self, s: float) -> float:
-        if s <= 0:
+        if not s > 0:
             raise ScaleError("phi is defined for s > 0")
-        if self.source.kind == "power":
-            return phi_power_closed_form(self.source.params["beta"], s)
-        return self._numeric_sup(s)
-
-    def _numeric_sup(self, s: float) -> float:
-        b1 = max(self.source.beta1, 1.0 + 1e-9)
-        b2 = max(self.source.beta2, b1)
-        # for psi(r) = r^b the maximizer is r* = (b/s)^(1/(b-1)); bracket it
-        # over the claimed exponent range with three decades of slack
-        cands = [(b / s) ** (1.0 / (b - 1.0)) for b in (b1, b2)]
-        lo = min(cands) / 1e3
-        hi = max(cands) * 1e3
-
-        def objective(r):
-            return s / r - 1.0 / float(self.source.value(r))
-
-        grid = _geometric_grid(lo, hi)
-        vals = np.array([objective(r) for r in grid])
-        k = int(np.argmax(vals))
-        a = grid[max(k - 1, 0)]
-        b = grid[min(k + 1, grid.size - 1)]
-        best = _golden_max(objective, math.log(a), math.log(b))
-        return max(best, float(vals[k]), 0.0)
-
-
-def _golden_max(f, lo, hi):
-    # maximize f(exp(t)) on [lo, hi] assuming unimodality, to a width of 1e-8 in t
-    c = hi - GOLDEN * (hi - lo)
-    d = lo + GOLDEN * (hi - lo)
-    fc, fd = f(math.exp(c)), f(math.exp(d))
-    while hi - lo > 1e-8:
-        if fc >= fd:
-            hi, d, fd = d, c, fc
-            c = hi - GOLDEN * (hi - lo)
-            fc = f(math.exp(c))
-        else:
-            lo, c, fc = c, d, fd
-            d = lo + GOLDEN * (hi - lo)
-            fd = f(math.exp(d))
-    return max(fc, fd)
+        psi = self.source
+        lo, hi, x0, y0, p = psi.pieces
+        ends = psi.knots
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            lc = p * np.log(x0) - np.log(y0)  # log c, where 1/psi(r) = c r^-p on a piece
+            if lo[0] == 0 and (p[0] < 1 or (p[0] == 1 and math.log(s) > lc[0])):
+                raise ScaleError(f"phi is infinite at s={s}: s/r - 1/psi(r) is "
+                                 f"unbounded as r -> 0")
+            log_r = (np.log(p) + lc - math.log(s)) / (p - 1.0)  # stationary point
+            inner = (p > 1) & (log_r > np.log(lo)) & (log_r <= np.log(hi))
+            # c^(-1/(p-1)) phi_1(s) = phi_1(s c^(-1/p)) for the power closed form phi_1
+            cands = [phi_power_closed_form(p[k], s * np.exp(-lc[k] / p[k]))
+                     for k in np.flatnonzero(inner)]
+            at_ends = s / ends - 1.0 / psi.value(ends)
+            best = float(np.max(np.r_[cands, at_ends, -np.inf]))
+        if hi[-1] == math.inf:
+            best = max(best, 0.0)
+        elif best <= max(at_ends[0], at_ends[-1], 0.0):
+            raise ScaleError(f"phi at s={s} has its sup outside the tabulated range "
+                             f"[{lo[0]}, {hi[-1]}]")
+        if not math.isfinite(best):
+            raise ScaleError(f"phi is not finite at s={s}")
+        return best
 
 
 def phi_power_closed_form(beta: float, s: float) -> float:

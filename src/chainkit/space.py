@@ -91,20 +91,20 @@ def build_space(spec: dict) -> FiniteMetricMeasureSpace:
     """
     kind = spec.get("type")
     if kind in ("euclidean", "snowflake"):
-        coords = np.atleast_2d(np.asarray(spec["coords"], dtype=float))
+        coords = np.atleast_2d(np.asarray(_key(spec, "coords"), dtype=float))
         if coords.shape[0] == 1 and coords.shape[1] > 1 and np.ndim(spec["coords"]) == 1:
             coords = coords.T
         diff = coords[:, None, :] - coords[None, :, :]
         dist = np.sqrt((diff ** 2).sum(axis=-1))
         provenance = {"type": kind, "coords": coords.tolist()}
         if kind == "snowflake":
-            beta = float(spec["beta"])
+            beta = float(_key(spec, "beta"))
             if beta < 2:
                 raise SpaceError("snowflake exponent 2/beta must lie in (0, 1]")
             dist = dist ** (2.0 / beta)
             provenance["beta"] = beta
     elif kind == "explicit":
-        dist = np.asarray(spec["matrix"], dtype=float)
+        dist = np.asarray(_key(spec, "matrix"), dtype=float)
         provenance = {"type": "explicit"}
     else:
         raise SpaceError(f"unknown metric construction {kind!r}")
@@ -117,6 +117,12 @@ def build_space(spec: dict) -> FiniteMetricMeasureSpace:
     elif kind == "explicit":
         _check_triangle(dist)
     return space
+
+
+def _key(spec: dict, name: str):
+    if name not in spec:
+        raise SpaceError(f"metric spec lacks {name!r}")
+    return spec[name]
 
 
 def space_from_graph(form: GraphDirichletForm) -> FiniteMetricMeasureSpace:
@@ -243,6 +249,8 @@ def save_space(space: FiniteMetricMeasureSpace, path) -> None:
 def load_space(path) -> FiniteMetricMeasureSpace:
     with open(path) as fh:
         payload = json.load(fh)
+    if not isinstance(payload, dict) or not isinstance(payload.get("metric"), dict):
+        raise SpaceError("space file must be a JSON object with a 'metric' object")
     spec = dict(payload["metric"])
     if "measure" in payload:
         spec["measure"] = payload["measure"]

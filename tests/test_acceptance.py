@@ -86,7 +86,7 @@ def test_criterion_04_walk_dimension_and_phi_regularity():
 def test_criterion_05_phi_closed_form():
     t0 = time.time()
     for beta in (2.0, 2.5, 3.0):
-        # r^beta as a one-piece piecewise psi: the numeric sup, not the closed form
+        # r^beta as a one-piece piecewise psi: the piecewise parser and pieces path
         phi_num = PhiTransform(piecewise_scale([], [beta]))
         for s in np.geomspace(1e-3, 1e3, 31):
             cf = phi_power_closed_form(beta, float(s))

@@ -169,3 +169,33 @@ def test_verify_all_suites_pass(capsys):
 
 def test_verify_all_unknown_suite(capsys):
     assert main(["verify-all", "--suite", "nonsense"]) == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["eval", "--psi", "piecewise:1,2;3", "--r", "nan"],
+    ["inverse", "--psi", "piecewise:1,2;3", "--v", "nan"],
+    ["eval", "--psi", "power:2", "--r", "nan"],
+    ["phi", "--psi", "power:2", "--s", "nan"],
+])
+def test_scale_rejects_nan(argv, capsys):
+    assert main(["scale", *argv]) == 1
+    assert "defined for" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("s", ["0.01", "0.7", "3"])
+def test_scale_phi_exponent_below_one_inside(s, capsys):
+    assert main(["scale", "phi", "--psi", "piecewise:0.5,2;1.5,0.6;3", "--s", s]) == 0
+    assert float(capsys.readouterr().out) > 0
+
+
+def test_scale_phi_infinite_is_an_error(capsys):
+    assert main(["scale", "phi", "--psi", "power:0.7", "--s", "1"]) == 1
+    assert "phi is infinite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("payload", [[1, 2, 3], {"points": 3, "metric": {"type": "euclidean"}}])
+def test_malformed_space_file_is_an_error(payload, tmp_path, capsys):
+    path = tmp_path / "space.json"
+    path.write_text(json.dumps(payload))
+    assert main(["net", "--space", str(path), "--eps", "1"]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
