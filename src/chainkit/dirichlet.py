@@ -35,13 +35,12 @@ class GraphDirichletForm:
 
     ``conductances`` and ``lengths`` are symmetric sparse matrices with the
     same sparsity pattern; lengths default to 1 per edge and induce the
-    geodesic metric.
+    geodesic metric.  ``edges`` is the one COO edge list the energies read.
     """
 
     conductances: sp.csr_matrix
     vertex_measure: np.ndarray
     lengths: sp.csr_matrix | None = None
-    coords: np.ndarray | None = None
     _dist: np.ndarray | None = field(default=None, repr=False)
 
     def __post_init__(self):
@@ -62,6 +61,7 @@ class GraphDirichletForm:
         if (w.data <= 0).any():  # a stored zero would still join the geodesic graph
             raise DirichletFormError("stored conductances must be positive")
         self.conductances = w
+        self.edges = w.tocoo()
         if self.vertex_measure.shape != (w.shape[0],):
             raise DirichletFormError("vertex measure has wrong length")
         if (self.vertex_measure <= 0).any():
@@ -84,9 +84,11 @@ class GraphDirichletForm:
         return sp.diags(self.degree()) - self.conductances
 
     def geodesic_distances(self) -> np.ndarray:
-        """All-pairs shortest-path distances with the edge lengths."""
+        """All-pairs geodesic distances, computed once and read-only (spaces view it)."""
         if self._dist is None:
-            self._dist = csgraph.dijkstra(self.lengths, directed=False)
+            D = csgraph.dijkstra(self.lengths, directed=False)
+            self._dist = np.minimum(D, D.T)  # d(x,y), d(y,x) add a path's lengths in two orders
+            self._dist.setflags(write=False)
         return self._dist
 
     def components(self) -> tuple[int, np.ndarray]:
@@ -117,7 +119,7 @@ def cycle_graph(n: int, conductance: float = 1.0, measure: float = 1.0) -> Graph
 def energy(form: GraphDirichletForm, f: np.ndarray) -> float:
     """Dirichlet energy E(f, f) = sum over edges of w_e (df)^2."""
     f = np.asarray(f, dtype=float)
-    w = form.conductances.tocoo()
+    w = form.edges
     return 0.5 * float(np.sum(w.data * (f[w.row] - f[w.col]) ** 2))
 
 
@@ -135,7 +137,7 @@ def energy_measure(form: GraphDirichletForm, f: np.ndarray) -> EnergyMeasure:
     Satisfies sum_x g(x) gamma_f(x) = E(f, fg) - E(f^2, g)/2 for every g.
     """
     f = np.asarray(f, dtype=float)
-    w = form.conductances.tocoo()
+    w = form.edges
     contrib = 0.5 * w.data * (f[w.row] - f[w.col]) ** 2
     density = np.bincount(w.row, weights=contrib, minlength=form.n)
     return EnergyMeasure(density=density, total=float(density.sum()))
@@ -182,24 +184,20 @@ def capacity(form: GraphDirichletForm, A, B) -> tuple[float, np.ndarray]:
     return energy(form, f), f
 
 
-def truncated_maximal(target, nu: np.ndarray, x: int, R: float) -> float:
+def truncated_maximal(space, nu: np.ndarray, x: int, R: float) -> float:
     """sup over 0 < r < R of nu(B(x,r)) / m(B(x,r)) (strict balls).
 
-    ``target`` is a GraphDirichletForm or any object with ``dist`` and
-    ``measure`` attributes.  The sup is exact: balls change only at the
-    distinct distances from x, so it suffices to scan those below R.
+    ``space`` is a FiniteMetricMeasureSpace (or any object with ``dist`` and
+    ``measure``).  The sup is exact: balls change only at the distinct
+    distances from x, so it suffices to scan those below R.
     """
     if R <= 0:
         raise DirichletFormError("R must be positive")
-    if hasattr(target, "dist"):
-        dist_row, m = target.dist[x], target.measure
-    else:
-        dist_row, m = target.geodesic_distances()[x], target.vertex_measure
     nu = np.asarray(nu, dtype=float)
-    order = np.argsort(dist_row)
-    d_sorted = dist_row[order]
+    order = np.argsort(space.dist[x])
+    d_sorted = space.dist[x, order]
     nu_cum = np.cumsum(nu[order])
-    m_cum = np.cumsum(m[order])
+    m_cum = np.cumsum(space.measure[order])
     # ball {d <= c} is realized by radii just above c; admissible while c < R
     keep = d_sorted < R
     # drop repeated distance values except the last occurrence
@@ -245,17 +243,17 @@ def poincare_constant(form: GraphDirichletForm, psi, x: int, r: float) -> float:
     return mu_max / psi(r)
 
 
-def two_point_check(form: GraphDirichletForm, psi, u: np.ndarray, x: int,
-                    y: int, R: float) -> dict:
+def two_point_check(space, psi, u: np.ndarray, x: int, y: int, R: float) -> dict:
     """Check |u(x)-u(y)|^2 against Psi(R) * (M_R Gamma(u,u)(x) + M_R Gamma(u,u)(y)).
 
-    Returns lhs, the maximal-function core of the rhs, and their ratio (the
-    empirical constant; 0 for constant u, inf flags a locality violation).
+    ``space`` is graph-backed.  Returns lhs, the maximal-function core of the
+    rhs, and their ratio (the empirical constant; 0 for constant u, inf flags a
+    locality violation).
     """
     u = np.asarray(u, dtype=float)
-    gamma = energy_measure(form, u).density
-    Mx = truncated_maximal(form, gamma, x, R)
-    My = truncated_maximal(form, gamma, y, R)
+    gamma = energy_measure(space.graph, u).density
+    Mx = truncated_maximal(space, gamma, x, R)
+    My = truncated_maximal(space, gamma, y, R)
     lhs = float((u[x] - u[y]) ** 2)
     rhs_core = psi(R) * (Mx + My)
     ratio = 0.0 if lhs == 0 else (lhs / rhs_core if rhs_core > 0 else float("inf"))

@@ -310,8 +310,7 @@ def sierpinski_gasket_graph(level: int) -> GraphDirichletForm:
     """Level-k pre-fractal gasket graph with unit conductances and masses.
 
     Level 0 is a triangle; level k has (3^(k+1) + 3) / 2 vertices and
-    3^(k+1) edges.  Euclidean coordinates of the embedded vertices are
-    attached for the metric option.
+    3^(k+1) edges.
     """
     if not 0 <= level <= 8:
         raise HeatError("gasket level must lie in [0, 8]")
@@ -347,10 +346,7 @@ def sierpinski_gasket_graph(level: int) -> GraphDirichletForm:
         rows += [i, j]
         cols += [j, i]
     w = sp.coo_matrix((np.ones(len(rows)), (rows, cols)), shape=(n, n)).tocsr()
-    coords = np.zeros((n, 2))
-    for (px, py), i in key_of.items():
-        coords[i] = (px, py)
-    return GraphDirichletForm(w, np.ones(n), coords=coords)
+    return GraphDirichletForm(w, np.ones(n))
 
 
 def mean_exit_time(form: GraphDirichletForm, x: int, r: float) -> float:

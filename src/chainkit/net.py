@@ -240,7 +240,7 @@ def proof_replay(space: FiniteMetricMeasureSpace, psi_scale, x: int, y: int,
     max_M = max(df.truncated_maximal(space, gamma, z, R) for z in mem)
     maximal_constant = psi_scale(epsilon) * max_M
 
-    two_point = df.two_point_check(space.graph, psi_scale, u, x, y, R)
+    two_point = df.two_point_check(space, psi_scale, u, x, y, R)
 
     n_eps_xy = u_hat[y]
     recovered_constant = (n_eps_xy ** 2) * psi_scale(epsilon) / psi_scale(d_xy)

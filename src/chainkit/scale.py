@@ -248,7 +248,13 @@ def phi_power_closed_form(beta: float, s: float) -> float:
     """phi for psi(r) = r^beta: stationary point r* = (beta/s)^(1/(beta-1))."""
     if beta <= 1:
         raise ScaleError("closed form requires beta > 1")
-    return s ** (beta / (beta - 1.0)) * beta ** (-1.0 / (beta - 1.0)) * (1.0 - 1.0 / beta)
+    try:
+        phi = s ** (beta / (beta - 1.0)) * beta ** (-1.0 / (beta - 1.0)) * (1.0 - 1.0 / beta)
+    except OverflowError:
+        phi = math.inf
+    if not math.isfinite(phi):
+        raise ScaleError(f"phi of r^{beta} is not finite at s={s}")
+    return phi
 
 
 def verify_phi_regularity(phi: PhiTransform, window) -> dict:

@@ -126,12 +126,12 @@ def _key(spec: dict, name: str):
 
 
 def space_from_graph(form: GraphDirichletForm) -> FiniteMetricMeasureSpace:
-    """Graph-backed space: points are vertices, metric is graph-geodesic."""
+    """Graph-backed space whose ``dist`` is the form's read-only geodesic matrix."""
     dist = form.geodesic_distances()
     if not np.isfinite(dist).all():
         raise SpaceError("graph is disconnected; geodesic metric is not finite")
     return FiniteMetricMeasureSpace(
-        dist.copy(), form.vertex_measure.copy(), {"type": "graph-geodesic"}, graph=form
+        dist, form.vertex_measure.copy(), {"type": "graph-geodesic"}, graph=form
     )
 
 

@@ -131,6 +131,15 @@ def test_zero_conductance_csv_edge_is_an_error(tmp_path, capsys):
     assert "conductances must be positive" in capsys.readouterr().err
 
 
+def test_replay_accepts_decimal_edge_lengths(tmp_path, capsys):
+    # their geodesic sums differ in the last bit when taken from either end
+    graph = tmp_path / "lens.csv"
+    lengths = [0.1, 0.2, 0.7, 0.1, 0.3, 0.2, 0.1]
+    graph.write_text("".join(f"{i},{i + 1},1,{ln}\n" for i, ln in enumerate(lengths)))
+    assert main(["replay", "--graph", str(graph), "--x", "0", "--y", "7", "--eps", "1"]) == 0
+    assert json.loads(capsys.readouterr().out)["lipschitz_ok"]
+
+
 def test_heat_subcommand_writes_csv(path_csv, tmp_path, capsys):
     out_csv = tmp_path / "kernels.csv"
     assert main(["heat", "--graph", path_csv, "--times", "1,10",

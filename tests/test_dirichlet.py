@@ -92,7 +92,7 @@ def test_poincare_constant_trivial_ball():
 def test_two_point_check_linear_function():
     form = df.path_graph(11)
     u = np.arange(11.0)
-    rep = df.two_point_check(form, power_scale(2.0), u, 0, 10, R=20.0)
+    rep = df.two_point_check(sp.space_from_graph(form), power_scale(2.0), u, 0, 10, R=20.0)
     assert rep["lhs"] == pytest.approx(100.0)
     assert rep["rhs_core"] > 0
     assert rep["ratio"] == pytest.approx(rep["lhs"] / rep["rhs_core"])
@@ -271,3 +271,29 @@ def test_capacity_monotone_in_conductance(n, seed):
     cap1, _ = df.capacity(form, [0], [n - 1])
     cap2, _ = df.capacity(form2, [0], [n - 1])
     assert cap2 == pytest.approx(2 * cap1, rel=1e-9)
+
+
+def energy_by_tocoo(form, f):
+    # the former energy, which built a COO copy of the conductances per call
+    w = form.conductances.tocoo()
+    return 0.5 * float(np.sum(w.data * (f[w.row] - f[w.col]) ** 2))
+
+
+def energy_density_by_tocoo(form, f):
+    w = form.conductances.tocoo()
+    contrib = 0.5 * w.data * (f[w.row] - f[w.col]) ** 2
+    return np.bincount(w.row, weights=contrib, minlength=form.n)
+
+
+@given(st.integers(2, 9), st.integers(0, 10 ** 6))
+@settings(max_examples=60, deadline=None)
+def test_energies_on_the_cached_edge_list_equal_tocoo_per_call(n, seed):
+    rng = np.random.default_rng(seed)
+    w = np.triu(rng.uniform(0.1, 5.0, (n, n)) * (rng.random((n, n)) < 0.6), 1)
+    w = w + w.T
+    form = df.GraphDirichletForm(sps.csr_matrix(w), rng.uniform(0.5, 2.0, n))
+    for _ in range(5):  # the edge list is derived once and read by every call
+        f = rng.normal(size=n)
+        assert df.energy(form, f) == energy_by_tocoo(form, f)
+        assert np.array_equal(df.energy_measure(form, f).density,
+                              energy_density_by_tocoo(form, f))

@@ -426,6 +426,15 @@ def test_power_phi_is_the_closed_form(beta, s):
     assert PhiTransform(piecewise_scale([], [beta])).value(s) == cf
 
 
+def test_power_phi_closed_form_overflow_is_a_scale_error():
+    with pytest.raises(ScaleError, match="not finite"):
+        phi_power_closed_form(1.001953125, 10.0)
+    with pytest.raises(ScaleError, match="not finite"):
+        phi_power_closed_form(2.0, math.inf)
+    with pytest.raises(ScaleError):
+        PhiTransform(power_scale(1.001953125)).value(10.0)
+
+
 def test_phi_positive_where_the_bracketed_search_gave_zero():
     phi = PhiTransform(piecewise_scale([0.00894], [3.858, 1.505]))
     assert all(phi.value(float(s)) > 0 for s in np.linspace(1.01, 1.10, 10))

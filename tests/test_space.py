@@ -1,11 +1,14 @@
+import copy
 import warnings
 
+import networkx as nx
 import numpy as np
 import pytest
+import scipy.sparse as sps
 from hypothesis import assume, given, settings, strategies as st
 
 import chainkit.space as sp
-from chainkit.dirichlet import path_graph
+from chainkit.dirichlet import GraphDirichletForm, path_graph
 
 
 def unit_line(n=11):
@@ -54,6 +57,48 @@ def test_space_from_graph_is_geodesic():
     space = sp.space_from_graph(path_graph(5))
     assert space.dist[0, 4] == pytest.approx(4.0)
     assert space.graph is not None
+
+
+def test_space_from_graph_views_the_read_only_geodesic_matrix():
+    form = path_graph(5)
+    space = sp.space_from_graph(form)
+    assert space.dist is form.geodesic_distances()
+    with pytest.raises(ValueError):
+        space.dist[0, 1] = 2.0
+    assert form.geodesic_distances()[0, 1] == 1.0
+    # deepcopy keeps the one array shared (numpy drops the read-only flag on copy)
+    c = copy.deepcopy(space)
+    assert c.dist is c.graph.geodesic_distances()
+    assert c.dist is not space.dist
+
+
+@given(st.integers(2, 12), st.data())
+@settings(max_examples=80, deadline=None)
+def test_space_from_graph_accepts_float_edge_lengths(n, data):
+    # a spanning tree plus extra edges, lengths decimal or arbitrary floats:
+    # Dijkstra sums each path from both ends, which may differ by an ulp
+    edges = {(data.draw(st.integers(0, v - 1)), v) for v in range(1, n)}
+    edges |= data.draw(st.sets(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+                               .filter(lambda e: e[0] < e[1]), max_size=2 * n))
+    u, v = np.array(sorted(edges)).T
+    length = st.one_of(st.sampled_from([0.1, 0.2, 0.3, 0.7, 1.1]),
+                       st.floats(1e-3, 1e3, allow_nan=False, allow_infinity=False))
+    lens = np.array(data.draw(st.lists(length, min_size=u.size, max_size=u.size)))
+
+    def sym(vals):
+        return sps.coo_matrix((np.r_[vals, vals], (np.r_[u, v], np.r_[v, u])),
+                              shape=(n, n)).tocsr()
+
+    form = GraphDirichletForm(sym(np.ones(u.size)), np.ones(n), sym(lens))
+    space = sp.space_from_graph(form)
+    assert np.array_equal(space.dist, space.dist.T)
+    g = nx.Graph()
+    g.add_weighted_edges_from(zip(u.tolist(), v.tolist(), lens.tolist()))
+    ref = np.zeros((n, n))
+    for a, row in nx.all_pairs_dijkstra_path_length(g):
+        for b, d in row.items():
+            ref[a, b] = d
+    assert np.allclose(space.dist, ref, rtol=1e-12, atol=0)
 
 
 def test_ball_is_open():
