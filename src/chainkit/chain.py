@@ -17,7 +17,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.csgraph as csgraph
 
-from .space import FiniteMetricMeasureSpace, SpaceError
+from .space import FiniteMetricMeasureSpace, check_ids
 
 
 class ChainError(ValueError):
@@ -96,18 +96,14 @@ def _walk_predecessors(pred, source: int, target: int) -> list[int]:
     return path[::-1]
 
 
-def _check_ids(space, *ids):
-    for i in ids:
-        if not 0 <= i < space.n:
-            raise SpaceError(f"unknown point id {i}")
-
-
 def _shortest_chain(space, epsilon, x, y, index, weighted):
     """Least eps-chain length (a float) if weighted, else hop count (an int),
     and a witness; 0 when x == y, inf and [] when no eps-chain joins them."""
-    _check_ids(space, x, y)
+    check_ids(space, x, y)
     if index is None:
         index = ProximityIndex.build(space, epsilon)
+    elif index.space is not space or index.epsilon != epsilon:
+        raise ChainError("proximity index was built for another space or epsilon")
     value = float if weighted else int
     if x == y:
         return value(0), [x]
@@ -131,7 +127,7 @@ def min_chain_count(space: FiniteMetricMeasureSpace, epsilon: float, x: int,
 
 def analyze_pair(space: FiniteMetricMeasureSpace, epsilon: float, x: int,
                  y: int, index: ProximityIndex | None = None) -> ChainAnalysis:
-    if index is None:
+    if index is None:  # one index for both searches
         index = ProximityIndex.build(space, epsilon)
     d_eps, wm = chain_metric(space, epsilon, x, y, index)
     n_eps, wh = min_chain_count(space, epsilon, x, y, index)
@@ -257,7 +253,7 @@ def d_eps_step_function(space: FiniteMetricMeasureSpace, x: int, y: int):
     appear, so on interval k the edge set is {d <= breaks[k]}.  The values
     come from one Dijkstra call per step of d_eps, walked from the top.
     """
-    _check_ids(space, x, y)
+    check_ids(space, x, y)
     breaks = space.critical_radii()
     if x == y:
         return breaks, np.zeros(breaks.size)
@@ -285,7 +281,7 @@ def epsilon_of_t(space: FiniteMetricMeasureSpace, psi, x: int, y: int,
         raise ChainError("t must be positive")
     if x == y:
         raise ChainError("epsilon_of_t requires x != y")
-    _check_ids(space, x, y)
+    check_ids(space, x, y)
     breaks = space.critical_radii()
     knots = psi.knots
     for j, k, L in _d_eps_steps(space, breaks, x, y):

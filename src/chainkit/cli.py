@@ -239,23 +239,15 @@ def cmd_gasket(args) -> int:
 
 def cmd_scale(args) -> int:
     psi = parse_psi_spec(args.psi)
-    if args.action == "phi":
-        if args.s is None:
-            raise UsageError("phi requires --s")
-        print(dumps(PhiTransform(psi).value(args.s)))
-    elif args.action == "eval":
-        if args.r is None:
-            raise UsageError("eval requires --r")
-        print(dumps(psi.value(args.r)))
-    elif args.action == "inverse":
-        if args.v is None:
-            raise UsageError("inverse requires --v")
-        print(dumps(psi.inverse(args.v)))
-    else:
-        window = args.window or [1e-2, 1e2]
-        cert = verify_regularity(psi, window)
+    if args.action == "regularity":
+        cert = verify_regularity(psi, args.window or [1e-2, 1e2])
         print(dumps(cert))
         return 0 if cert["ok"] else 2
+    flag, read = {"phi": ("s", PhiTransform(psi).value), "eval": ("r", psi.value),
+                  "inverse": ("v", psi.inverse)}[args.action]
+    if getattr(args, flag) is None:
+        raise UsageError(f"{args.action} requires --{flag}")
+    print(dumps(read(getattr(args, flag))))
     return 0
 
 

@@ -24,6 +24,8 @@ import scipy.sparse.csgraph as csgraph
 import scipy.sparse.linalg as spla
 from scipy.linalg import eigh
 
+from .space import distance_profile
+
 
 class DirichletFormError(ValueError):
     pass
@@ -48,10 +50,8 @@ class GraphDirichletForm:
         if w.shape[0] != w.shape[1]:
             raise DirichletFormError("conductance matrix must be square")
         self.vertex_measure = np.asarray(self.vertex_measure, dtype=float)
-        finite = [w.data, self.vertex_measure]
-        if self.lengths is not None:
-            finite.append(sp.csr_matrix(self.lengths).data)
-        if not all(np.isfinite(a).all() for a in finite):
+        lengths = [] if self.lengths is None else [sp.csr_matrix(self.lengths).data]
+        if not all(np.isfinite(a).all() for a in [w.data, self.vertex_measure, *lengths]):
             raise DirichletFormError(
                 "conductances, lengths and measure weights must be finite numbers")
         if abs(w - w.T).nnz:
@@ -60,6 +60,8 @@ class GraphDirichletForm:
             raise DirichletFormError("conductance matrix must have zero diagonal")
         if (w.data <= 0).any():  # a stored zero would still join the geodesic graph
             raise DirichletFormError("stored conductances must be positive")
+        if any((a <= 0).any() for a in lengths):  # a negative edge is a negative cycle
+            raise DirichletFormError("stored lengths must be positive")
         self.conductances = w
         self.edges = w.tocoo()
         if self.vertex_measure.shape != (w.shape[0],):
@@ -193,19 +195,12 @@ def truncated_maximal(space, nu: np.ndarray, x: int, R: float) -> float:
     """
     if R <= 0:
         raise DirichletFormError("R must be positive")
-    nu = np.asarray(nu, dtype=float)
-    order = np.argsort(space.dist[x])
-    d_sorted = space.dist[x, order]
-    nu_cum = np.cumsum(nu[order])
-    m_cum = np.cumsum(space.measure[order])
-    # ball {d <= c} is realized by radii just above c; admissible while c < R
-    keep = d_sorted < R
-    # drop repeated distance values except the last occurrence
-    last = np.r_[d_sorted[1:] != d_sorted[:-1], True]
-    sel = keep & last
-    if not sel.any():
-        return 0.0
-    return float(np.max(nu_cum[sel] / m_cum[sel]))
+    radii, nu_ball, m_ball = distance_profile(space.dist[x], np.asarray(nu, dtype=float),
+                                              space.measure)
+    # ball {d <= r_k} is realized by radii just above r_k; admissible while
+    # r_k < R, which holds for r_0 = d(x, x) = 0
+    k = np.searchsorted(radii, R)
+    return float(np.max(nu_ball[:k] / m_ball[:k]))
 
 
 def poincare_constant(form: GraphDirichletForm, psi, x: int, r: float) -> float:
@@ -252,10 +247,14 @@ def two_point_check(space, psi, u: np.ndarray, x: int, y: int, R: float) -> dict
     """
     u = np.asarray(u, dtype=float)
     gamma = energy_measure(space.graph, u).density
-    Mx = truncated_maximal(space, gamma, x, R)
-    My = truncated_maximal(space, gamma, y, R)
+    return _two_point(u, x, y, psi(R), truncated_maximal(space, gamma, x, R),
+                      truncated_maximal(space, gamma, y, R))
+
+
+def _two_point(u: np.ndarray, x: int, y: int, psi_R: float, Mx: float, My: float) -> dict:
+    """The two-point record from u and the maximal values M_R Gamma(u,u) at x, y."""
     lhs = float((u[x] - u[y]) ** 2)
-    rhs_core = psi(R) * (Mx + My)
+    rhs_core = psi_R * (Mx + My)
     ratio = 0.0 if lhs == 0 else (lhs / rhs_core if rhs_core > 0 else float("inf"))
     return {"lhs": lhs, "rhs_core": rhs_core, "ratio": ratio,
             "maximal_x": Mx, "maximal_y": My}

@@ -26,6 +26,7 @@ from scipy.linalg import eigh
 
 from .chain import _walk_predecessors, chain_metric, epsilon_of_t
 from .dirichlet import DirichletFormError, GraphDirichletForm
+from .space import VolumeProfile, ball_volume, distance_profile
 
 # candidate walk exponents for envelope fitting; brackets the Gaussian case
 # and the gasket value log5/log2
@@ -176,7 +177,7 @@ def sub_gaussian_fit(table: HeatKernelTable, dist: np.ndarray,
     diameter are excluded (finite-size tail pollution).
 
     Kernel values come from one ``table.rows`` block per distinct centre and
-    ball volumes from one sorted volume profile per centre (searchsorted).
+    ball volumes from one distance profile per centre.
     """
     m = table.form.vertex_measure
     times = np.asarray(sorted(table.kernels))
@@ -184,8 +185,7 @@ def sub_gaussian_fit(table: HeatKernelTable, dist: np.ndarray,
         raise HeatError("fit requires a time grid spanning >= 2 decades")
     diam = float(dist[np.isfinite(dist)].max())
     if pairs is None:
-        x0 = 0
-        pairs = [(x0, y) for y in range(dist.shape[0]) if dist[x0, y] > 0]
+        pairs = [(0, y) for y in range(dist.shape[0]) if dist[0, y] > 0]
     pairs = [(x, y) for x, y in pairs if 0 < dist[x, y] <= (1 - BOUNDARY_EXCLUSION) * diam]
     ds = np.array([dist[x, y] for x, y in pairs])
     if ds.size == 0 or ds.max() / ds.min() < 9.9:
@@ -200,23 +200,22 @@ def sub_gaussian_fit(table: HeatKernelTable, dist: np.ndarray,
     else:
         slope_on = 0.0
 
+    xs, ys = np.array(pairs).T  # xs[0] is x_on
+    centres, cidx = np.unique(xs, return_inverse=True)
+    profiles = [VolumeProfile(x, *distance_profile(dist[x], m)) for x in centres]
+
     # empirical volume-growth exponent over the distance range of the pairs
     radii = np.geomspace(max(ds.min(), 1e-9), ds.max(), 16)
-    vols = np.array([float(m[dist[x_on] < r].sum()) for r in radii])
-    vol_exp = float(np.polyfit(np.log(radii), np.log(np.maximum(vols, m[x_on])), 1)[0])
+    vol_exp = float(np.polyfit(np.log(radii), np.log(profiles[cidx[0]].at(radii)), 1)[0])
 
     # K[t, j] = p_t(x_j, y_j); V[c, b, t] = V(centre c, t^(1/beta_b))
-    xs, ys = np.array(pairs).T
-    centres, cidx = np.unique(xs, return_inverse=True)
     ball_radii = times ** (1.0 / np.asarray(beta_grid, dtype=float)[:, None])
     K = np.empty((times.size, len(pairs)))
     V = np.empty((centres.size,) + ball_radii.shape)
     for c, x in enumerate(centres):
         on = cidx == c
         K[:, on] = table.rows(x, times)[:, ys[on]]
-        order = np.argsort(dist[x], kind="stable")
-        cum = np.concatenate(([0.0], np.cumsum(m[order])))
-        V[c] = cum[np.searchsorted(dist[x, order], ball_radii, side="left")]
+        V[c] = profiles[c].at(ball_radii)
 
     best = None
     per_beta = {}
@@ -299,8 +298,7 @@ def generalized_estimate_eval(table: HeatKernelTable, space, psi, phi,
     eps = epsilon_of_t(space, psi, x, y, t)
     d_eps, _ = chain_metric(space, eps, x, y)
     p = float(table.kernel_at(t)[x, y])
-    r = psi.inverse(t) if hasattr(psi, "inverse") else t
-    V = float(space.measure[space.dist[x] < r].sum()) if r > 0 else float(space.measure[x])
+    V = ball_volume(space, x, psi.inverse(t) if hasattr(psi, "inverse") else t)
     exponent = t * phi(d_eps / t)
     return {"p": p, "volume": V, "epsilon": float(eps), "d_eps": float(d_eps),
             "exponent": float(exponent), "prefactor": p * V}

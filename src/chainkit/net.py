@@ -17,7 +17,7 @@ import numpy as np
 
 from . import dirichlet as df
 from .chain import ProximityIndex
-from .space import FiniteMetricMeasureSpace, SpaceError
+from .space import FiniteMetricMeasureSpace, ball_volume, check_ids
 
 
 class NetError(ValueError):
@@ -56,9 +56,7 @@ def build_net(space: FiniteMetricMeasureSpace, epsilon: float,
     if epsilon <= 0:
         raise NetError("epsilon must be positive")
     include = sorted(set(include)) if include else []
-    for i in include:
-        if not 0 <= i < space.n:
-            raise SpaceError(f"unknown point id {i}")
+    check_ids(space, *include)
     close = np.triu(space.dist[np.ix_(include, include)] < epsilon, 1)
     if close.any():
         a, b = (include[i] for i in np.argwhere(close)[0])
@@ -162,7 +160,7 @@ def partition_energy_report(space: FiniteMetricMeasureSpace,
     rows = []
     worst = 0.0
     for z, E in sorted(pou.energies.items()):
-        vol = float(space.measure[space.dist[z] < eps].sum())
+        vol = ball_volume(space, z, eps)
         bound_core = vol / psi_scale(eps)
         ratio = E / bound_core if bound_core > 0 else math.inf
         rows.append({"member": int(z), "energy": E, "volume": vol,
@@ -237,10 +235,12 @@ def proof_replay(space: FiniteMetricMeasureSpace, psi_scale, x: int, y: int,
             raise AssertionError("u does not equal u_hat on the plateau")
 
     R = 2.0 * d_xy
-    max_M = max(df.truncated_maximal(space, gamma, z, R) for z in mem)
+    M = {z: df.truncated_maximal(space, gamma, z, R) for z in mem}
+    max_M = max(M.values())
     maximal_constant = psi_scale(epsilon) * max_M
 
-    two_point = df.two_point_check(space, psi_scale, u, x, y, R)
+    # x and y are members, so the two-point check reuses their maximal values
+    two_point = df._two_point(u, x, y, psi_scale(R), M[x], M[y])
 
     n_eps_xy = u_hat[y]
     recovered_constant = (n_eps_xy ** 2) * psi_scale(epsilon) / psi_scale(d_xy)

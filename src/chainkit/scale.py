@@ -97,6 +97,8 @@ class ScaleFunction:
 
 
 def power_scale(beta: float) -> ScaleFunction:
+    if not 0 < beta < math.inf:
+        raise ScaleError("power exponent must be a finite number > 0")
     return ScaleFunction("power", beta1=beta, beta2=beta, C_reg=1.0,
                          params={"beta": float(beta)})
 
@@ -113,8 +115,12 @@ def piecewise_scale(breakpoints, exponents, beta1=None, beta2=None,
     exponents = [float(e) for e in exponents]
     if len(exponents) != len(breakpoints) + 1:
         raise ScaleError("need one more exponent than breakpoints")
+    if not np.isfinite(breakpoints + exponents).all():
+        raise ScaleError("piecewise breakpoints and exponents must be finite")
     if any(e <= 0 for e in exponents):
         raise ScaleError("piecewise exponents must be positive")
+    if any(b <= 0 for b in breakpoints):
+        raise ScaleError("piecewise breakpoints must be positive")
     if sorted(breakpoints) != breakpoints:
         raise ScaleError("breakpoints must be increasing")
     b1 = min(exponents) if beta1 is None else beta1
@@ -128,6 +134,8 @@ def tabulated_scale(r, values, beta1, beta2, C_reg) -> ScaleFunction:
     values = np.asarray(values, dtype=float)
     if r.ndim != 1 or r.shape != values.shape or r.size < 2:
         raise ScaleError("table needs two equal-length columns with >= 2 rows")
+    if not (np.isfinite(r).all() and np.isfinite(values).all()):
+        raise ScaleError("tabulated scale data must be finite")
     if (np.diff(r) <= 0).any() or (np.diff(values) <= 0).any():
         raise ScaleError("tabulated scale data must be strictly increasing")
     if (r <= 0).any() or (values <= 0).any():

@@ -11,10 +11,12 @@ from __future__ import annotations
 import json
 import warnings
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .dirichlet import GraphDirichletForm
+if TYPE_CHECKING:
+    from .dirichlet import GraphDirichletForm
 
 TRIANGLE_CHECK_LIMIT = 1500
 
@@ -135,17 +137,33 @@ def space_from_graph(form: GraphDirichletForm) -> FiniteMetricMeasureSpace:
     )
 
 
+def check_ids(space: FiniteMetricMeasureSpace, *ids: int) -> None:
+    for i in ids:
+        if not 0 <= i < space.n:
+            raise SpaceError(f"unknown point id {i}")
+
+
 def ball(space: FiniteMetricMeasureSpace, x: int, r: float) -> np.ndarray:
     """Indices of the open ball B(x, r); always contains x for r > 0."""
-    if not 0 <= x < space.n:
-        raise SpaceError(f"unknown point id {x}")
+    check_ids(space, x)
     if r <= 0:
         raise SpaceError("ball radius must be positive")
     return np.flatnonzero(space.dist[x] < r)
 
 
 def ball_volume(space: FiniteMetricMeasureSpace, x: int, r: float) -> float:
+    """V(x, r) = m(B(x, r)) at one radius, summed in index order."""
     return float(space.measure[ball(space, x, r)].sum())
+
+
+def distance_profile(row: np.ndarray, *weights: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The distinct distances r_0 < r_1 < ... of one centre's ``row`` and, per
+    weight vector, the weight of each closed ball {d <= r_k} summed in sorted
+    order; the open ball B(x, r) is the closed one at the largest r_k < r."""
+    order = np.argsort(row)
+    d = row[order]
+    last = np.r_[d[1:] != d[:-1], True]  # the last of each run of equal distances
+    return (d[last], *(np.cumsum(w[order])[last] for w in weights))
 
 
 def doubling_constant(space: FiniteMetricMeasureSpace) -> float:
@@ -156,22 +174,17 @@ def doubling_constant(space: FiniteMetricMeasureSpace) -> float:
     """
     if space.n == 0:
         raise SpaceError("space is empty")
-    best = 1.0
-    all_d = np.unique(space.dist)
-    pos = all_d[all_d > 0]
+    pos = space.critical_radii()
     # the ratio changes only when r or 2r crosses a distance value, and the
     # worst ratio on each constancy interval is realized at its left end +
-    candidates = np.unique(np.concatenate([pos / 2.0, pos]))
-    if not candidates.size:
-        return best
+    candidates = np.union1d(pos / 2.0, pos)
+    best = 1.0
     for x in range(space.n):
-        order = np.argsort(space.dist[x])
-        d = space.dist[x][order]
-        vol = np.cumsum(space.measure[order])
+        radii, vol = distance_profile(space.dist[x], space.measure)
         # realize balls at radius r+: {dist <= r}
-        i_r = np.searchsorted(d, candidates, side="right")
-        i_2r = np.searchsorted(d, 2 * candidates, side="right")
-        best = max(best, float(np.max(vol[i_2r - 1] / vol[i_r - 1])))
+        i_r = np.searchsorted(radii, candidates, side="right") - 1
+        i_2r = np.searchsorted(radii, 2 * candidates, side="right") - 1
+        best = float(np.max(vol[i_2r] / vol[i_r], initial=best))
     return best
 
 
@@ -186,12 +199,11 @@ def uniform_perfectness(space: FiniteMetricMeasureSpace) -> dict:
     worst = None
     required_C = 1.0
     for x in range(space.n):
-        d = np.unique(space.dist[x])
-        pos = d[d > 0]
+        pos = distance_profile(space.dist[x])[0][1:]  # r_0 = d(x, x) = 0
         # the predicate changes only when r or r/2 crosses a distance value
-        breaks = np.unique(np.concatenate([pos, 2 * pos]))
+        breaks = np.union1d(pos, 2 * pos)
         mids = 0.5 * (breaks[:-1] + breaks[1:])
-        r = np.unique(np.concatenate([breaks, mids]))
+        r = np.union1d(breaks, mids)
         r = r[(r > pos[0]) & (r <= pos[-1])]
         # |{pos < r}| >= 1 since r > pos[0]; the annulus [r/2, r) holds
         # |{pos < r}| - |{pos < r/2}| distances
@@ -213,22 +225,14 @@ class VolumeProfile:
     radii: np.ndarray
     volumes: np.ndarray
 
-    def at(self, r: float) -> float:
-        """V(x, r) = m({d < r}) for an arbitrary radius."""
-        i = np.searchsorted(self.radii, r, side="left")
-        return float(self.volumes[i - 1]) if i > 0 else 0.0
+    def at(self, r):
+        """V(x, r) = m({d < r}) for a radius or an array of radii."""
+        return np.r_[0.0, self.volumes][np.searchsorted(self.radii, r, side="left")]
 
 
 def volume_profile(space: FiniteMetricMeasureSpace, x: int) -> VolumeProfile:
-    if not 0 <= x < space.n:
-        raise SpaceError(f"unknown point id {x}")
-    order = np.argsort(space.dist[x])
-    d = space.dist[x][order]
-    cum = np.cumsum(space.measure[order])
-    radii = np.unique(d)
-    # cumulative mass of the closed ball {d <= radius}
-    counts = np.searchsorted(d, radii, side="right") - 1
-    return VolumeProfile(center=x, radii=radii, volumes=cum[counts])
+    check_ids(space, x)
+    return VolumeProfile(x, *distance_profile(space.dist[x], space.measure))
 
 
 def save_space(space: FiniteMetricMeasureSpace, path) -> None:

@@ -29,6 +29,21 @@ def test_proximity_edges_are_strict():
     assert index2.edges.nnz == 4
 
 
+@pytest.mark.parametrize("call, other_space", [
+    (ch.min_chain_count, False),  # read N_1.5 = 5 off the eps = 2.5 graph
+    (ch.chain_metric, False),  # returned a witness with hops of 2 >= 1.5
+    (ch.analyze_pair, False),  # raised "witness hop at or above epsilon"
+    (ch.chain_metric, True),  # returned (inf, [])
+])
+def test_a_proximity_index_for_another_epsilon_or_space_is_an_error(call, other_space):
+    line = unit_line(11)
+    index = ch.ProximityIndex.build(unit_line(11), 1.5) if other_space else \
+        ch.ProximityIndex.build(line, 2.5)
+    with pytest.raises(ch.ChainError, match="another space or epsilon"):
+        call(line, 1.5, 0, 10, index)
+    assert ch.min_chain_count(line, 1.5, 0, 10, ch.ProximityIndex.build(line, 1.5))[0] == 10
+
+
 def test_chain_metric_on_line_equals_distance():
     space = unit_line(11)
     for eps in (1.5, 2.5, 20.0):

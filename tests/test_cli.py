@@ -140,6 +140,16 @@ def test_replay_accepts_decimal_edge_lengths(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["lipschitz_ok"]
 
 
+@pytest.mark.parametrize("lengths", ["-1,-1", "0,1"])
+def test_replay_rejects_nonpositive_edge_lengths(lengths, tmp_path, capsys):
+    # a negative length used to send Dijkstra round a negative cycle for minutes
+    graph = tmp_path / "path3.csv"
+    a, b = lengths.split(",")
+    graph.write_text(f"0,1,1,{a}\n1,2,1,{b}\n")
+    assert main(["replay", "--graph", str(graph), "--x", "0", "--y", "2", "--eps", "1"]) == 1
+    assert "lengths must be positive" in capsys.readouterr().err
+
+
 def test_heat_subcommand_writes_csv(path_csv, tmp_path, capsys):
     out_csv = tmp_path / "kernels.csv"
     assert main(["heat", "--graph", path_csv, "--times", "1,10",
@@ -189,6 +199,23 @@ def test_verify_all_unknown_suite(capsys):
 def test_scale_rejects_nan(argv, capsys):
     assert main(["scale", *argv]) == 1
     assert "defined for" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("spec", ["power:nan", "power:inf", "power:-2", "power:0",
+                                  "piecewise:1,2;inf", "piecewise:-1,2;3", "piecewise:0,2;3",
+                                  "piecewise:nan,2;3"])
+def test_scale_rejects_malformed_parameters(spec, capsys):
+    assert main(["scale", "eval", "--psi", spec, "--r", "2"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: ")
+
+
+@pytest.mark.parametrize("action", [["eval", "--r", "2"], ["regularity"]])
+def test_scale_table_with_a_nan_row_is_an_error(action, tmp_path, capsys):
+    table = tmp_path / "nan.csv"
+    table.write_text("1,1\n2,nan\n3,9\n")
+    assert main(["scale", action[0], "--psi", f"table:{table}", *action[1:]]) == 1
+    assert "must be finite" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("s", ["0.01", "0.7", "3"])

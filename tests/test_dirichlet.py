@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 import chainkit.dirichlet as df
 import chainkit.space as sp
+from chainkit.heat import sierpinski_gasket_graph
 from chainkit.scale import power_scale
 
 
@@ -21,6 +22,15 @@ def test_form_validation():
         df.GraphDirichletForm(asym, np.ones(2))
     with pytest.raises(df.DirichletFormError):
         df.GraphDirichletForm(two_vertex().conductances, np.array([1.0, 0.0]))
+
+
+@pytest.mark.parametrize("length", [-1.0, 0.0])
+def test_nonpositive_stored_lengths_are_rejected(length):
+    w = df.path_graph(3).conductances
+    lengths = w.copy()
+    lengths.data = np.full_like(lengths.data, length)  # stored, even when zero
+    with pytest.raises(df.DirichletFormError, match="lengths must be positive"):
+        df.GraphDirichletForm(w, np.ones(3), lengths)
 
 
 def test_energy_unit_edge():
@@ -74,6 +84,31 @@ def test_truncated_maximal_hand_value():
     assert df.truncated_maximal(space, nu, 0, 10.0) == pytest.approx(1.0 / 3.0)
     # truncation below the distance to the mass
     assert df.truncated_maximal(space, nu, 0, 1.5) == pytest.approx(0.0)
+
+
+def _truncated_maximal_reference(space, nu, x, R):
+    # an independent scan: argsort, two cumulative sums and a last-of-ties mask
+    order = np.argsort(space.dist[x])
+    d_sorted = space.dist[x, order]
+    nu_cum = np.cumsum(nu[order])
+    m_cum = np.cumsum(space.measure[order])
+    sel = (d_sorted < R) & np.r_[d_sorted[1:] != d_sorted[:-1], True]
+    return float(np.max(nu_cum[sel] / m_cum[sel])) if sel.any() else 0.0
+
+
+@given(st.integers(0, 10 ** 6), st.sampled_from([2, 3]))
+@settings(max_examples=25, deadline=None)
+def test_truncated_maximal_equals_reference_on_tied_distances(seed, level):
+    # gasket geodesics tie often; the measure and nu are not integers
+    rng = np.random.default_rng(seed)
+    gasket = sierpinski_gasket_graph(level)
+    form = df.GraphDirichletForm(gasket.conductances, rng.uniform(0.1, 3.0, gasket.n))
+    space = sp.space_from_graph(form)
+    nu = rng.uniform(0.0, 2.0, gasket.n)
+    for x in rng.integers(0, gasket.n, 4).tolist():
+        for R in (0.5, 1.0, 2.5, 4.0, 100.0):
+            assert df.truncated_maximal(space, nu, x, R) == _truncated_maximal_reference(
+                space, nu, x, R)
 
 
 def test_poincare_constant_single_edge():

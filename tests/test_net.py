@@ -3,6 +3,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import chainkit.chain as ch
+import chainkit.dirichlet as df
 import chainkit.net as nt
 import chainkit.space as sp
 from chainkit.dirichlet import path_graph
@@ -222,3 +223,19 @@ def test_net_separation_and_covering_random(n, eps, seed):
     if off.size:
         assert off.min() >= eps
     assert (space.dist[:, mem].min(axis=1) < eps).all()
+
+
+def test_replay_computes_the_energy_measure_once(monkeypatch):
+    calls = []
+    original = df.energy_measure
+
+    def counting(form, f):
+        calls.append(f)
+        return original(form, f)
+
+    monkeypatch.setattr(df, "energy_measure", counting)
+    space = sp.space_from_graph(path_graph(41))
+    rep = nt.proof_replay(space, power_scale(2.0), 0, 40, 6.0)
+    assert len(calls) == 1
+    # the record built from the member maxima is the stand-alone check's
+    assert rep.two_point == df.two_point_check(space, power_scale(2.0), rep.u, 0, 40, 80.0)

@@ -467,3 +467,18 @@ def test_nan_is_rejected():
             psi.inverse(math.nan)
         with pytest.raises(ScaleError):
             PhiTransform(psi).value(math.nan)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: power_scale(math.nan),
+    lambda: power_scale(math.inf),
+    lambda: power_scale(-2.0),
+    lambda: piecewise_scale([1.0], [2.0, math.inf]),
+    lambda: piecewise_scale([-1.0], [2.0, 3.0]),
+    lambda: piecewise_scale([0.0], [2.0, 3.0]),
+    lambda: piecewise_scale([math.nan], [2.0, 3.0]),
+    lambda: tabulated_scale([1.0, 2.0, 3.0], [1.0, math.nan, 9.0], 1.0, 2.0, 2.0),
+])
+def test_malformed_scale_parameters_are_errors(make):
+    with pytest.raises(ScaleError):
+        make()

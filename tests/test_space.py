@@ -181,6 +181,60 @@ def test_volume_profile_matches_ball_volume():
         assert profile.at(r) == pytest.approx(sp.ball_volume(space, 4, r))
 
 
+lattice = st.lists(st.tuples(st.integers(0, 4), st.integers(0, 4)), min_size=1, max_size=12,
+                   unique=True)
+
+
+def lattice_space(points, measure=None):
+    # integer points: many pairs at exactly equal distances
+    spec = {"type": "euclidean", "coords": [[float(a), float(b)] for a, b in points]}
+    if measure is not None:
+        spec["measure"] = list(measure)
+    return sp.build_space(spec)
+
+
+@given(lattice, st.data())
+@settings(max_examples=80, deadline=None)
+def test_distance_profile_matches_masked_sums(points, data):
+    space = lattice_space(points)
+    integers = st.lists(st.integers(1, 9), min_size=space.n, max_size=space.n)
+    weights = [np.array(data.draw(integers), dtype=float) for _ in range(2)]
+    for x in range(space.n):
+        row = space.dist[x]
+        assert len(sp.distance_profile(row)) == 1
+        radii, *closed = sp.distance_profile(row, *weights)
+        assert np.array_equal(radii, np.unique(row))
+        for w, c in zip(weights, closed):  # integer sums are exact in any order
+            assert np.array_equal(c, [w[row <= r].sum() for r in radii])
+
+
+def _doubling_reference(space):
+    # an independent scan: one argsort and cumulative sum per centre over the
+    # full row, candidate radii from every entry of the matrix
+    best = 1.0
+    all_d = np.unique(space.dist)
+    pos = all_d[all_d > 0]
+    candidates = np.unique(np.concatenate([pos / 2.0, pos]))
+    if not candidates.size:
+        return best
+    for x in range(space.n):
+        order = np.argsort(space.dist[x])
+        d = space.dist[x][order]
+        vol = np.cumsum(space.measure[order])
+        i_r = np.searchsorted(d, candidates, side="right")
+        i_2r = np.searchsorted(d, 2 * candidates, side="right")
+        best = max(best, float(np.max(vol[i_2r - 1] / vol[i_r - 1])))
+    return best
+
+
+@given(lattice, st.integers(0, 10 ** 6))
+@settings(max_examples=60, deadline=None)
+def test_doubling_constant_equals_reference_on_tied_distances(points, seed):
+    measure = np.random.default_rng(seed).uniform(0.1, 3.0, len(points))
+    space = lattice_space(points, measure)
+    assert sp.doubling_constant(space) == _doubling_reference(space)
+
+
 def test_save_load_round_trip(tmp_path):
     space = sp.build_space({"type": "snowflake", "beta": 2.5,
                             "coords": np.linspace(0, 1, 7).tolist(),
