@@ -1,63 +1,72 @@
 """Deterministic JSON serialization for reports.
 
-Floats are rendered with 17 significant digits (enough to round-trip IEEE
-doubles) and map keys are emitted sorted, so identical configs and inputs
-produce byte-identical reports.
+Floats are rendered as ``%.17g`` (enough digits to round-trip IEEE doubles;
+infinities and NaN as the strings "Infinity", "-Infinity" and "NaN") and map
+keys are emitted sorted, so identical configs and inputs produce
+byte-identical reports.
 """
 
 from __future__ import annotations
 
-import math
+import functools
 from json.encoder import encode_basestring
 
 import numpy as np
 
 
-def _render(obj, out: list) -> None:
-    if obj is None:
-        out.append("null")
-    elif obj is True:
-        out.append("true")
-    elif obj is False:
-        out.append("false")
-    elif isinstance(obj, (int, np.integer)):
-        out.append(str(int(obj)))
-    elif isinstance(obj, (float, np.floating)):
-        x = float(obj)
-        if math.isinf(x):
-            out.append('"Infinity"' if x > 0 else '"-Infinity"')
-        elif math.isnan(x):
-            out.append('"NaN"')
-        else:
-            out.append(f"{x:.17g}")
-    elif isinstance(obj, str):
-        # the string encoder of json.dumps(obj, ensure_ascii=False)
-        out.append(encode_basestring(obj))
-    elif isinstance(obj, dict):
-        out.append("{")
-        for i, k in enumerate(sorted(obj, key=str)):
-            if i:
-                out.append(",")
-            _render(str(k), out)
-            out.append(":")
-            _render(obj[k], out)
-        out.append("}")
-    elif isinstance(obj, (list, tuple, np.ndarray, frozenset, set, range)):
-        seq = sorted(obj) if isinstance(obj, (set, frozenset)) else list(obj)
-        out.append("[")
-        for i, v in enumerate(seq):
-            if i:
-                out.append(",")
-            _render(v, out)
-        out.append("]")
-    else:
-        raise TypeError(f"cannot serialize {type(obj).__name__} deterministically")
+def _float(x: float) -> str:
+    if x - x == 0.0:  # finite: inf - inf and nan - nan are nan
+        return "%.17g" % x
+    return '"NaN"' if x != x else '"Infinity"' if x > 0 else '"-Infinity"'
+
+
+def _seq(seq) -> str:
+    get = _RENDER.get
+    return "[" + ",".join([get(type(v), _subclass)(v) for v in seq]) + "]"
+
+
+# equal tuples share an entry, so only tuples of exact str keys may be cached
+@functools.lru_cache(maxsize=256)
+def _key_prefixes(keys: tuple) -> tuple[tuple[str, str], ...]:
+    """('"key":', key) for each key, in the order of the keys' str."""
+    return tuple((encode_basestring(str(k)) + ":", k) for k in sorted(keys, key=str))
+
+
+def _dict(obj: dict) -> str:
+    keys = tuple(obj)
+    exact = all(type(k) is str for k in keys)
+    prefixes = (_key_prefixes if exact else _key_prefixes.__wrapped__)(keys)
+    get = _RENDER.get
+    return "{" + ",".join([p + get(type(v := obj[k]), _subclass)(v)
+                           for p, k in prefixes]) + "}"
+
+
+def _subclass(obj) -> str:  # every type without an entry in _RENDER
+    if isinstance(obj, (int, np.integer)):
+        return str(int(obj))
+    if isinstance(obj, (float, np.floating)):
+        return _float(float(obj))
+    if isinstance(obj, str):
+        return encode_basestring(obj)
+    if isinstance(obj, dict):
+        return _dict(obj)
+    if isinstance(obj, (list, tuple, np.ndarray, frozenset, set, range)):
+        return _seq(sorted(obj) if isinstance(obj, (set, frozenset)) else obj)
+    raise TypeError(f"cannot serialize {type(obj).__name__} deterministically")
+
+
+# exact types; tolist() gives the Python ints and floats that a numeric
+# array's numpy scalars convert to, and a 0-d array fails to iterate
+_RENDER = {
+    type(None): lambda _: "null", bool: lambda b: "true" if b else "false",
+    int: int.__repr__, float: _float, np.float64: lambda x: _float(float(x)),
+    str: encode_basestring, dict: _dict, list: _seq, tuple: _seq,
+    np.ndarray: lambda a: _seq(a.tolist() if a.dtype.kind in "fiu" else a),
+}
 
 
 def dumps(obj) -> str:
-    out: list = []
-    _render(obj, out)
-    return "".join(out)
+    return _RENDER.get(type(obj), _subclass)(obj)
 
 
 def write_report(payload: dict, path) -> None:

@@ -212,16 +212,15 @@ def cmd_heat(args) -> int:
     form = df.load_graph_csv(args.graph, args.vertices)
     table = ht.heat_kernel(form, args.times)
     if args.out:
+        row = ",".join(["%.17g"] * form.n)  # one format per CSV row
         with open(args.out, "w") as fh:
             for t in sorted(table.kernels):
-                P = table.kernels[t]
-                for i in range(form.n):
-                    row = ",".join(f"{v:.17g}" for v in P[i])
-                    fh.write(f"{t:.17g},{i},{row}\n")
+                for i, values in enumerate(table.kernels[t]):
+                    fh.write(f"{t:.17g},{i}," + row % tuple(values.tolist()) + "\n")
     payload = {
         "config": _config_echo(args),
         "times": list(table.times),
-        "diagonal": {f"{t:.17g}": [float(v) for v in np.diag(P)]
+        "diagonal": {f"{t:.17g}": np.diag(P).tolist()
                      for t, P in table.kernels.items()},
     }
     _emit(args, payload)

@@ -52,8 +52,7 @@ class ScaleFunction:
         if self.kind == "table":
             out = _table_eval(self.params["r"], self.params["values"], r)
         else:
-            lo, hi, x0, y0, p = self.pieces
-            out = _power_pieces(r, np.append(lo, np.inf), x0, y0, p)
+            out = _power_pieces(r, *self.pieces)
         return float(out) if out.ndim == 0 else out
 
     def inverse(self, v):
@@ -65,7 +64,8 @@ class ScaleFunction:
         else:
             x0, y0, p = self.pieces[2:]
             # psi(lo[i]) = y0[i] past the first piece, which starts at psi(0) = 0
-            out = _power_pieces(v, np.r_[0.0, y0[1:], np.inf], y0, x0, 1.0 / p)
+            ends = np.concatenate(([0.0], y0[1:], [np.inf]))
+            out = _power_pieces(v, ends[:-1], ends[1:], y0, x0, 1.0 / p)
         return float(out) if out.ndim == 0 else out
 
     @cached_property
@@ -140,15 +140,19 @@ def tabulated_scale(r, values, beta1, beta2, C_reg) -> ScaleFunction:
         raise ScaleError("tabulated scale data must be strictly increasing")
     if (r <= 0).any() or (values <= 0).any():
         raise ScaleError("tabulated scale data must be positive")
+    if not (0 < beta1 <= beta2 < math.inf and 0 < C_reg < math.inf):  # NaN fails too
+        raise ScaleError("claimed exponents need finite 0 < beta1 <= beta2 and C > 0")
     return ScaleFunction("table", beta1=beta1, beta2=beta2, C_reg=C_reg,
                          params={"r": r, "values": values})
 
 
-def _power_pieces(q, edges, x0, y0, powers):
-    """y0[i] * (q / x0[i]) ** powers[i] on (edges[i], edges[i + 1]]."""
+def _power_pieces(q, lo, hi, x0, y0, powers):
+    """y0[i] * (q / x0[i]) ** powers[i] on (lo[i], hi[i]]; the pieces cover q > 0."""
+    if len(powers) == 1:  # no masks, but the same 1-D array and power loop
+        return (y0[0] * (q.reshape(-1) / x0[0]) ** powers[0]).reshape(q.shape)
     out = np.empty_like(q, dtype=float)
     for i, p in enumerate(powers):
-        mask = (q > edges[i]) & (q <= edges[i + 1])
+        mask = (q > lo[i]) & (q <= hi[i])
         out[mask] = y0[i] * (q[mask] / x0[i]) ** p
     return out
 

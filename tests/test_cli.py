@@ -1,13 +1,18 @@
 import json
+import math
+from collections import OrderedDict
+from json.encoder import encode_basestring
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 import chainkit.space as sp
 from chainkit._report import dumps
 from chainkit.cli import main
-from chainkit.dirichlet import path_graph, save_graph_csv
+from chainkit.dirichlet import load_graph_csv, path_graph, save_graph_csv
+from chainkit.heat import heat_kernel, sierpinski_gasket_graph
 
 
 @pytest.fixture
@@ -90,6 +95,103 @@ def test_dumps_round_trips_through_json(obj):
     assert json.loads(dumps(obj)) == obj
 
 
+# the renderer reports used before the type-dispatched one, kept as the
+# reference for its bytes
+def _render(obj, out: list) -> None:
+    if obj is None:
+        out.append("null")
+    elif obj is True:
+        out.append("true")
+    elif obj is False:
+        out.append("false")
+    elif isinstance(obj, (int, np.integer)):
+        out.append(str(int(obj)))
+    elif isinstance(obj, (float, np.floating)):
+        x = float(obj)
+        if math.isinf(x):
+            out.append('"Infinity"' if x > 0 else '"-Infinity"')
+        elif math.isnan(x):
+            out.append('"NaN"')
+        else:
+            out.append(f"{x:.17g}")
+    elif isinstance(obj, str):
+        # the string encoder of json.dumps(obj, ensure_ascii=False)
+        out.append(encode_basestring(obj))
+    elif isinstance(obj, dict):
+        out.append("{")
+        for i, k in enumerate(sorted(obj, key=str)):
+            if i:
+                out.append(",")
+            _render(str(k), out)
+            out.append(":")
+            _render(obj[k], out)
+        out.append("}")
+    elif isinstance(obj, (list, tuple, np.ndarray, frozenset, set, range)):
+        seq = sorted(obj) if isinstance(obj, (set, frozenset)) else list(obj)
+        out.append("[")
+        for i, v in enumerate(seq):
+            if i:
+                out.append(",")
+            _render(v, out)
+        out.append("]")
+    else:
+        raise TypeError(f"cannot serialize {type(obj).__name__} deterministically")
+
+
+def reference_dumps(obj) -> str:
+    out: list = []
+    _render(obj, out)
+    return "".join(out)
+
+
+_text = st.text() | st.text(st.sampled_from('\x00\x1f\x7f"\\/\u00e9\u2028\u20ac\U0001f600'))
+_report_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | _text
+    | st.sampled_from([math.inf, -math.inf, math.nan, -0.0])
+    | st.floats().map(np.float64) | st.floats(width=32).map(np.float32)
+    | st.floats(width=16).map(np.float16) | st.integers(-2 ** 63, 2 ** 63 - 1).map(np.int64)
+    | st.integers(-128, 127).map(np.int8) | st.integers(0, 2 ** 64 - 1).map(np.uint64)
+    | hnp.arrays(st.sampled_from([np.float64, np.float32, np.int64]),
+                 hnp.array_shapes(min_dims=1, max_dims=2, min_side=0, max_side=4))
+    | st.sets(st.integers() | st.floats()) | st.frozensets(_text)
+    | st.builds(range, st.integers(-5, 5), st.integers(-5, 20), st.integers(1, 3)),
+    lambda inner: st.lists(inner) | st.lists(inner).map(tuple)
+    | st.dictionaries(st.integers() | st.floats() | _text, inner)
+    # repeated key tuples, as in a report's table rows
+    | st.lists(st.dictionaries(st.sampled_from(["x", "y", "d_eps"]), inner))
+    | st.dictionaries(_text, inner).map(OrderedDict),
+    max_leaves=30,
+)
+
+
+@given(_report_values)
+@settings(max_examples=400, deadline=None)
+def test_dumps_matches_the_reference_renderer(obj):
+    assert dumps(obj) == reference_dumps(obj)
+
+
+class _Tagged(str):
+    def __str__(self):
+        return "tag:" + self
+
+
+def test_dumps_renders_str_subclass_keys_by_their_str():
+    # a key equal to an earlier exact-str key must not reuse its sorted order
+    obj = [{"b": 1, "a": 2}, {_Tagged("b"): 1, "a": 2}, {"b": 3, _Tagged("a"): 4}]
+    assert dumps(obj) == reference_dumps(obj)
+    assert dumps(obj[1]) == '{"a":2,"tag:b":1}'
+
+
+@pytest.mark.parametrize("obj", [np.bool_(True), object(), [1, np.bool_(False)],
+                                 {"a": object()}, np.array(True), np.array(1.0),
+                                 np.array([True, False]), 1 + 2j])
+def test_dumps_rejects_what_the_reference_rejects(obj):
+    with pytest.raises(TypeError):
+        reference_dumps(obj)
+    with pytest.raises(TypeError):
+        dumps(obj)
+
+
 def test_net_subcommand(line_space, capsys):
     assert main(["net", "--space", line_space, "--eps", "2", "--certify"]) == 0
     out = json.loads(capsys.readouterr().out)
@@ -161,6 +263,22 @@ def test_heat_subcommand_writes_csv(path_csv, tmp_path, capsys):
     assert len(rows) == 2 * 11
 
 
+def test_heat_csv_bytes_match_the_per_entry_loop(tmp_path):
+    graph, out_csv = tmp_path / "g3.csv", tmp_path / "kernels.csv"
+    save_graph_csv(sierpinski_gasket_graph(3), graph)
+    assert main(["--json-only", "heat", "--graph", str(graph), "--times", "0.1,1,10",
+                 "--out", str(out_csv), "--report", str(tmp_path / "heat.json")]) == 0
+    form = load_graph_csv(str(graph))
+    table = heat_kernel(form, [0.1, 1.0, 10.0])
+    lines = []
+    for t in sorted(table.kernels):  # one f-string per entry, as heat --out wrote
+        P = table.kernels[t]
+        for i in range(form.n):
+            row = ",".join(f"{v:.17g}" for v in P[i])
+            lines.append(f"{t:.17g},{i},{row}\n")
+    assert out_csv.read_bytes() == "".join(lines).encode()
+
+
 def test_gasket_subcommand(tmp_path, capsys):
     out_csv = tmp_path / "g2.csv"
     assert main(["gasket", "--level", "2", "--out", str(out_csv)]) == 0
@@ -216,6 +334,16 @@ def test_scale_table_with_a_nan_row_is_an_error(action, tmp_path, capsys):
     table.write_text("1,1\n2,nan\n3,9\n")
     assert main(["scale", action[0], "--psi", f"table:{table}", *action[1:]]) == 1
     assert "must be finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("claim", ["2,2,nan", "nan,nan,nan", "3,1,-5"])
+def test_scale_table_with_a_malformed_claim_is_an_error(claim, tmp_path, capsys):
+    table = tmp_path / "quad.csv"
+    r = np.geomspace(0.01, 100.0, 30)
+    np.savetxt(table, np.c_[r, r ** 2], delimiter=",")
+    assert main(["scale", "regularity", "--psi", f"table:{table}:{claim}"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and "claimed exponents" in captured.err
 
 
 @pytest.mark.parametrize("s", ["0.01", "0.7", "3"])

@@ -283,9 +283,10 @@ def scale_functions(draw):
         lr = np.array([-3.0, 3.0])
     slopes = np.array(draw(st.lists(exponent, min_size=lr.size - 1, max_size=lr.size - 1)))
     lv = np.concatenate([[0.0], np.cumsum(slopes * np.diff(lr))])
-    return tabulated_scale(10.0 ** lr, np.exp(lv * math.log(10.0)),
-                           float(slopes.min()) + draw(st.floats(0.0, 0.5)),
-                           float(slopes.max()) - draw(st.floats(0.0, 0.5)),
+    # a table's claim must keep beta1 <= beta2 (an inverted one is an input error)
+    beta1 = float(slopes.min()) + draw(st.floats(0.0, 0.5))
+    beta2 = max(beta1, float(slopes.max()) - draw(st.floats(0.0, 0.5)))
+    return tabulated_scale(10.0 ** lr, np.exp(lv * math.log(10.0)), beta1, beta2,
                            draw(st.floats(1.0, 3.0)))
 
 
@@ -303,6 +304,32 @@ def test_piecewise_value_and_inverse_match_references(k, data):
     assert np.array_equal(psi.inverse(v), ref_piecewise_inverse(bp, ex, v))
     for q in r[:3]:  # scalars too
         assert psi.value(float(q)) == float(ref_piecewise_eval(bp, ex, np.array(q)))
+
+
+def masked_power_pieces(q, edges, x0, y0, powers):
+    """The masked loop every psi took before the one-piece fast path."""
+    out = np.empty_like(q, dtype=float)
+    for i, p in enumerate(powers):
+        mask = (q > edges[i]) & (q <= edges[i + 1])
+        out[mask] = y0[i] * (q[mask] / x0[i]) ** p
+    return out
+
+
+@given(st.floats(0.05, 8.0), st.lists(st.floats(-30.0, 30.0), min_size=1, max_size=40))
+@settings(max_examples=300, deadline=None)
+def test_one_piece_fast_path_is_bit_identical_to_the_masked_loop(beta, log_r):
+    psi = power_scale(beta)
+    x0, y0, p = psi.pieces[2:]
+    r = np.exp(np.array(log_r))
+    value = masked_power_pieces(r, [0.0, np.inf], x0, y0, p)
+    inverse = masked_power_pieces(r, [0.0, np.inf], y0, x0, 1.0 / p)
+    assert psi.value(r).tobytes() == value.tobytes()
+    assert psi.inverse(r).tobytes() == inverse.tobytes()
+    for q in r[:4].tolist():  # a scalar takes the same 1-element loop
+        assert psi.value(q).hex() == float(masked_power_pieces(
+            np.asarray(q), [0.0, np.inf], x0, y0, p)).hex()
+        assert psi.inverse(q).hex() == float(masked_power_pieces(
+            np.asarray(q), [0.0, np.inf], y0, x0, 1.0 / p)).hex()
 
 
 @given(scale_functions(), log_r, st.floats(-1.0, 3.0), st.floats(-0.3, 0.3),
@@ -478,6 +505,11 @@ def test_nan_is_rejected():
     lambda: piecewise_scale([0.0], [2.0, 3.0]),
     lambda: piecewise_scale([math.nan], [2.0, 3.0]),
     lambda: tabulated_scale([1.0, 2.0, 3.0], [1.0, math.nan, 9.0], 1.0, 2.0, 2.0),
+    lambda: tabulated_scale([1.0, 2.0, 3.0], [1.0, 4.0, 9.0], 2.0, 2.0, math.nan),
+    lambda: tabulated_scale([1.0, 2.0, 3.0], [1.0, 4.0, 9.0], 2.0, math.inf, 2.0),
+    lambda: tabulated_scale([1.0, 2.0, 3.0], [1.0, 4.0, 9.0], 0.0, 2.0, 2.0),
+    lambda: tabulated_scale([1.0, 2.0, 3.0], [1.0, 4.0, 9.0], 3.0, 1.0, 2.0),
+    lambda: tabulated_scale([1.0, 2.0, 3.0], [1.0, 4.0, 9.0], 2.0, 2.0, 0.0),
 ])
 def test_malformed_scale_parameters_are_errors(make):
     with pytest.raises(ScaleError):

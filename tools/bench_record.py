@@ -1,0 +1,80 @@
+"""Record benchmark results as one JSON file, for a BENCH_<n>.json trajectory.
+
+Run from anywhere:
+
+    python3 tools/bench_record.py --out BENCH_11.json --parent ../parent
+
+For each workload of BENCHMARK.json this runs ``bench/run.py --seed 1
+--trace 0`` RUNS times and keeps every result line (the last line of each
+run), the machine record of the first line, and the median and quartiles
+of each end-to-end metric.  With ``--parent DIR`` (a checkout of the commit to
+compare against) the runs alternate between DIR and this checkout, and so
+does the side that runs first, so both sides come from the same machine and
+the same minutes.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+SEED = 1  # the seed of every committed record, so records compare
+
+
+def bench_once(checkout: Path, workload: str, seconds: float) -> tuple[dict, dict]:
+    """One ``bench/run.py`` call in ``checkout``: its result line and machine record."""
+    proc = subprocess.run(
+        [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(SEED),
+         "--seconds", str(seconds), "--trace", "0"],
+        cwd=checkout, capture_output=True, text=True, check=True)
+    lines = [json.loads(line) for line in proc.stdout.splitlines() if line.startswith("{")]
+    return lines[-1], lines[0]["machine"]
+
+
+def summary(results: list[dict]) -> dict:
+    """Median and quartiles of each end-to-end metric over one side's runs."""
+    out = {"median": {}, "quartiles": {}, "results": results,
+           "attempted": sum(r["attempted"] for r in results),
+           "failed": sum(r["failed"] for r in results)}
+    for name in results[0]["metrics"]:
+        values = [r["metrics"][name]["value"] for r in results]
+        out["median"][name] = statistics.median(values)
+        out["quartiles"][name] = (statistics.quantiles(values, n=4, method="inclusive")[::2]
+                                  if len(values) > 1 else values * 2)
+    return out
+
+
+def main(argv=None) -> int:
+    with open(ROOT / "BENCHMARK.json") as fh:
+        spec = json.load(fh)
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--out", required=True, type=Path)
+    ap.add_argument("--seconds", type=float, default=spec["run_seconds"])
+    ap.add_argument("--runs", type=int, default=5)
+    ap.add_argument("--parent", type=Path, help="checkout to compare against")
+    args = ap.parse_args(argv)
+    workloads = [w["name"] for w in spec["workloads"]]
+    sides = {"change": ROOT} | ({"parent": args.parent.resolve()} if args.parent else {})
+    record = {"seed": SEED, "seconds": args.seconds, "runs": args.runs,
+              "machine": {}, "workloads": {}}
+    for workload in workloads:
+        results: dict[str, list[dict]] = {side: [] for side in sides}
+        for k in range(args.runs):  # alternate which side runs first
+            for side, checkout in list(sides.items())[::(-1) ** k]:
+                result, machine = bench_once(checkout, workload, args.seconds)
+                results[side].append(result)
+                record["machine"].setdefault(side, machine)
+        record["workloads"][workload] = {side: summary(r) for side, r in results.items()}
+        print(workload, {side: s["median"] for side, s in
+                         record["workloads"][workload].items()}, file=sys.stderr)
+    args.out.write_text(json.dumps(record, indent=1, sort_keys=True) + "\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
