@@ -36,17 +36,29 @@ class ProximityIndex:
     def build(cls, space: FiniteMetricMeasureSpace, epsilon: float) -> "ProximityIndex":
         if epsilon <= 0:
             raise ChainError("epsilon must be positive")
-        adj = (space.dist < epsilon) & ~np.eye(space.n, dtype=bool)
-        edges = sp.csr_matrix(np.where(adj, space.dist, 0.0))
+        adj = space.dist < epsilon
+        np.fill_diagonal(adj, False)  # CSR arrays straight from the mask, rows in order
+        indptr = np.r_[0, np.cumsum(np.count_nonzero(adj, axis=1))]
+        edges = sp.csr_matrix((space.dist[adj], np.nonzero(adj)[1], indptr), shape=adj.shape)
         return cls(space=space, epsilon=epsilon, edges=edges)
+
+    def _narrowed(self, epsilon: float) -> "ProximityIndex":
+        """This index's edges with d < epsilon (a smaller one), in O(edges)."""
+        e = self.edges
+        keep = e.data < epsilon
+        indptr = np.r_[0, np.cumsum(keep)][e.indptr]
+        edges = sp.csr_matrix((e.data[keep], e.indices[keep], indptr), shape=e.shape)
+        return ProximityIndex(space=self.space, epsilon=epsilon, edges=edges)
 
     def shortest_paths(self, sources, weighted: bool = True):
         """Distances and predecessors from ``sources`` in one Dijkstra call.
 
         An int gives 1-D rows; an array of sources gives one row per source.
+        The edge matrix is symmetric, like ``dist``, so a directed search is the
+        undirected one minus its per-call transpose and no-op second relaxation.
         """
         return csgraph.dijkstra(
-            self.edges, directed=False, indices=sources,
+            self.edges, directed=True, indices=sources,
             return_predecessors=True, unweighted=not weighted,
         )
 
@@ -233,9 +245,10 @@ def _d_eps_steps(space: FiniteMetricMeasureSpace, breaks, x: int, y: int):
     d_eps is the same float on all of them and the walk jumps to j - 1.  It
     stops at the first disconnected interval: the ones below are too.
     """
-    k = breaks.size - 1
+    k, index = breaks.size - 1, None  # one build at the top break, then narrowings
     while k >= 0:
-        index = ProximityIndex.build(space, np.nextafter(breaks[k], math.inf))
+        eps = np.nextafter(breaks[k], math.inf)
+        index = ProximityIndex.build(space, eps) if index is None else index._narrowed(eps)
         d_eps, witness = chain_metric(space, index.epsilon, x, y, index)
         if math.isinf(d_eps):
             return

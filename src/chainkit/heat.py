@@ -114,10 +114,12 @@ def kernel_defects(table: HeatKernelTable, semigroup_pairs) -> dict:
     over the given (t, s) pairs, and the smallest kernel entry ("min_entry")."""
     m = table.form.vertex_measure
     kernels = list(table.kernels.values())
-    semigroup = 0.0
-    for t, s in semigroup_pairs:
+    semigroup, u = 0.0, None
+    for t, s in sorted(semigroup_pairs, key=sum):  # p_(t+s) once per distinct t + s
+        if t + s != u:
+            u, P = t + s, table.kernel_at(t + s)
         rhs = table.kernels[t] @ (m[:, None] * table.kernels[s])
-        semigroup = max(semigroup, float(np.abs(table.kernel_at(t + s) - rhs).max()))
+        semigroup = max(semigroup, float(np.abs(P - rhs).max()))
     return {
         "symmetry": max((float(np.abs(P - P.T).max()) for P in kernels), default=0.0),
         "stochasticity": max((float(np.abs(P @ m - 1.0).max()) for P in kernels), default=0.0),

@@ -42,6 +42,10 @@ class ScaleFunction:
     C_reg: float = 1.0
     params: dict = field(default_factory=dict)
 
+    def __post_init__(self):  # every kind's claim; NaN fails too
+        if not (0 < self.beta1 <= self.beta2 < math.inf and 0 < self.C_reg < math.inf):
+            raise ScaleError("claimed exponents need finite 0 < beta1 <= beta2 and C > 0")
+
     def __call__(self, r):
         return self.value(r)
 
@@ -140,8 +144,6 @@ def tabulated_scale(r, values, beta1, beta2, C_reg) -> ScaleFunction:
         raise ScaleError("tabulated scale data must be strictly increasing")
     if (r <= 0).any() or (values <= 0).any():
         raise ScaleError("tabulated scale data must be positive")
-    if not (0 < beta1 <= beta2 < math.inf and 0 < C_reg < math.inf):  # NaN fails too
-        raise ScaleError("claimed exponents need finite 0 < beta1 <= beta2 and C > 0")
     return ScaleFunction("table", beta1=beta1, beta2=beta2, C_reg=C_reg,
                          params={"r": r, "values": values})
 

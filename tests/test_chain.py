@@ -3,6 +3,8 @@ import math
 import networkx as nx
 import numpy as np
 import pytest
+import scipy.sparse
+import scipy.sparse.csgraph as csgraph
 from hypothesis import given, settings, strategies as st
 
 import chainkit.chain as ch
@@ -123,6 +125,86 @@ def test_chain_condition_estimate_disconnection():
     rep = ch.chain_condition_estimate(space, [0.5])
     assert math.isinf(rep["K_hat"])
     assert rep["disconnected_at"] == 0.5
+
+
+def reference_edges(space, eps):
+    """The dense-to-sparse build ProximityIndex.build replaced."""
+    adj = (space.dist < eps) & ~np.eye(space.n, dtype=bool)
+    return scipy.sparse.csr_matrix(np.where(adj, space.dist, 0.0))
+
+
+def assert_same_csr(a, b):
+    for name in ("indptr", "indices", "data"):
+        x, y = getattr(a, name), getattr(b, name)
+        assert x.dtype == y.dtype and x.tobytes() == y.tobytes(), name
+
+
+@st.composite
+def spaces_with_ties(draw):
+    """Integer-coordinate lines and grids (exact distance ties), random clouds
+    and a graph space, with an epsilon that is often exactly a distance."""
+    kind = draw(st.sampled_from(["line", "grid", "cloud", "graph"]))
+    if kind == "line":
+        coords = sorted(set(draw(st.lists(st.integers(0, 30), min_size=1, max_size=14))))
+        space = sp.build_space({"type": "euclidean", "coords": [float(c) for c in coords]})
+    elif kind == "grid":
+        a, b = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+        space = sp.build_space({"type": "euclidean",
+                                "coords": [[i, j] for i in range(a) for j in range(b)]})
+    elif kind == "cloud":
+        rng = np.random.default_rng(draw(st.integers(0, 10 ** 6)))
+        space = sp.build_space({"type": "euclidean",
+                                "coords": rng.uniform(0, 1, (draw(st.integers(1, 14)), 2)).tolist()})
+    else:
+        space = sp.space_from_graph(sierpinski_gasket_graph(2))
+    radii = space.critical_radii().tolist() or [1.0]
+    eps = draw(st.one_of(st.sampled_from(radii),  # pairs at exactly eps are no edges
+                         st.sampled_from(radii).map(lambda r: np.nextafter(r, math.inf)),
+                         st.floats(1e-3, 1.1 * max(radii))))
+    return space, float(eps)
+
+
+@given(spaces_with_ties())
+@settings(max_examples=150, deadline=None)
+def test_build_equals_the_dense_reference(case):
+    space, eps = case
+    assert_same_csr(ch.ProximityIndex.build(space, eps).edges, reference_edges(space, eps))
+    wider = ch.ProximityIndex.build(space, max(eps, 2.0 * space.diameter()))
+    assert_same_csr(wider._narrowed(eps).edges, reference_edges(space, eps))
+
+
+@given(spaces_with_ties(), st.booleans())
+@settings(max_examples=150, deadline=None)
+def test_one_way_search_equals_the_undirected_one(case, weighted):
+    space, eps = case
+    index = ch.ProximityIndex.build(space, eps)
+    for sources in (np.arange(space.n), space.n - 1):
+        got = index.shortest_paths(sources, weighted=weighted)
+        want = csgraph.dijkstra(index.edges, directed=False, indices=sources,
+                                return_predecessors=True, unweighted=not weighted)
+        for a, b in zip(got, want):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+@given(spaces_with_ties(), st.data())
+@settings(max_examples=150, deadline=None)
+def test_each_narrowed_index_equals_a_fresh_build(case, data):
+    space, _ = case
+    x = data.draw(st.integers(0, space.n - 1))
+    y = data.draw(st.integers(0, space.n - 1))
+    narrowed = []
+    narrow = ch.ProximityIndex._narrowed
+
+    def kept_narrow(index, eps):
+        narrowed.append(narrow(index, eps))
+        return narrowed[-1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ch.ProximityIndex, "_narrowed", kept_narrow)
+        ch.d_eps_step_function(space, x, y)
+    for index in narrowed:
+        assert_same_csr(index.edges, ch.ProximityIndex.build(space, index.epsilon).edges)
+        assert_same_csr(index.edges, reference_edges(space, index.epsilon))
 
 
 def _nx_proximity(space, eps):

@@ -61,6 +61,21 @@ def test_kernel_defects_cover_the_given_semigroup_pairs():
         table.verify()
 
 
+def test_kernel_defects_build_each_sum_kernel_once(monkeypatch):
+    table = ht.heat_kernel(cycle_graph(30), [0.1, 1.0, 10.0, 100.0], verify=False)
+    times = table.times.tolist()
+    pairs = [(t, s) for t in times for s in times]
+    m = table.form.vertex_measure
+    # the per-pair loop kernel_defects ran before, one p_(t+s) per pair
+    expected = max(float(np.abs(table.kernel_at(t + s) - table.kernels[t]
+                                @ (m[:, None] * table.kernels[s])).max()) for t, s in pairs)
+    built = []
+    kernel = ht._kernel
+    monkeypatch.setattr(ht, "_kernel", lambda lam, phi, t: built.append(t) or kernel(lam, phi, t))
+    assert ht.kernel_defects(table, pairs)["semigroup"] == expected
+    assert sorted(built) == sorted({t + s for t, s in pairs}) and len(built) == 10
+
+
 def test_kernel_at_interpolates_spectrally():
     table = ht.heat_kernel(two_vertex(), [1.0, 2.0])
     np.testing.assert_allclose(table.kernel_at(3.0),

@@ -274,10 +274,11 @@ def scale_functions(draw):
         k = draw(st.integers(0, 3))
         bp = sorted(10.0 ** np.array(draw(st.lists(log_r, min_size=k, max_size=k))))
         ex = draw(st.lists(exponent, min_size=k + 1, max_size=k + 1))
-        # claimed exponents may be too narrow, so some certificates fail
-        return piecewise_scale(bp, ex, beta1=min(ex) + draw(st.floats(0.0, 0.5)),
-                               beta2=max(ex) - draw(st.floats(0.0, 0.5)),
-                               C_reg=draw(st.floats(1.0, 3.0)))
+        # claimed exponents may be too narrow, so some certificates fail, but
+        # keep beta1 <= beta2 (an inverted claim is an input error)
+        beta1 = min(ex) + draw(st.floats(0.0, 0.5))
+        beta2 = max(beta1, max(ex) - draw(st.floats(0.0, 0.5)))
+        return piecewise_scale(bp, ex, beta1=beta1, beta2=beta2, C_reg=draw(st.floats(1.0, 3.0)))
     lr = np.unique(np.round(draw(st.lists(log_r, min_size=2, max_size=6)), 1))
     if lr.size < 2:
         lr = np.array([-3.0, 3.0])
@@ -504,6 +505,13 @@ def test_nan_is_rejected():
     lambda: piecewise_scale([-1.0], [2.0, 3.0]),
     lambda: piecewise_scale([0.0], [2.0, 3.0]),
     lambda: piecewise_scale([math.nan], [2.0, 3.0]),
+    lambda: piecewise_scale([1.0], [2.0, 3.0], beta1=3.0, beta2=1.0),
+    lambda: piecewise_scale([1.0], [2.0, 3.0], beta1=math.nan),
+    lambda: piecewise_scale([1.0], [2.0, 3.0], beta1=0.0),
+    lambda: piecewise_scale([1.0], [2.0, 3.0], beta2=math.inf),
+    lambda: piecewise_scale([1.0], [2.0, 3.0], C_reg=math.nan),
+    lambda: piecewise_scale([1.0], [2.0, 3.0], C_reg=0.0),
+    lambda: piecewise_scale([1.0], [2.0, 3.0], beta1=3.0, beta2=1.0, C_reg=-5.0),
     lambda: tabulated_scale([1.0, 2.0, 3.0], [1.0, math.nan, 9.0], 1.0, 2.0, 2.0),
     lambda: tabulated_scale([1.0, 2.0, 3.0], [1.0, 4.0, 9.0], 2.0, 2.0, math.nan),
     lambda: tabulated_scale([1.0, 2.0, 3.0], [1.0, 4.0, 9.0], 2.0, math.inf, 2.0),
@@ -514,3 +522,12 @@ def test_nan_is_rejected():
 def test_malformed_scale_parameters_are_errors(make):
     with pytest.raises(ScaleError):
         make()
+
+
+@pytest.mark.parametrize("claim", [(2.0, 2.0, math.nan), (math.nan,) * 3, (3.0, 1.0, -5.0)])
+def test_piecewise_and_table_reject_a_claim_alike(claim):
+    with pytest.raises(ScaleError) as table:
+        tabulated_scale([1.0, 2.0], [1.0, 4.0], *claim)
+    with pytest.raises(ScaleError) as piecewise:
+        piecewise_scale([1.0], [2.0, 3.0], *claim)
+    assert str(piecewise.value) == str(table.value)
