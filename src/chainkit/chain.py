@@ -17,6 +17,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.csgraph as csgraph
 
+from ._report import Rows
 from .space import FiniteMetricMeasureSpace, check_ids
 
 
@@ -178,7 +179,7 @@ def main_inequality_scan(space: FiniteMetricMeasureSpace, psi, pairs,
     d = space.dist[xs, ys]
     worst = 0.0
     argmax = None
-    table = []
+    parts = [(np.empty(0, int),) * 2 + (np.empty(0),) * 4]  # x, y, eps, d, d_eps, ratio
     trend = []
     skipped = 0
     for eps in epsilons:
@@ -188,21 +189,27 @@ def main_inequality_scan(space: FiniteMetricMeasureSpace, psi, pairs,
         skipped += xs.size - keep.size
         if not keep.size:
             continue
-        psi_eps, eps_f = psi(eps), float(eps)
-        trend_max = 0.0
-        # Python floats per row: an array's ** 2 can differ from a scalar's
-        # by one ulp
-        for x, y, dist, chain, psi_d in zip(
-                xs[keep].tolist(), ys[keep].tolist(), d[keep].tolist(),
-                d_eps[keep].tolist(), psi(d[keep]).tolist()):
-            ratio = (chain ** 2 / eps ** 2) / (psi_d / psi_eps)
-            table.append({"x": x, "y": y, "eps": eps_f, "d": dist,
-                          "d_eps": chain, "ratio": ratio})
-            trend_max = max(trend_max, psi_eps * chain / eps)
-            if ratio > worst:
-                worst = ratio
-                argmax = (eps_f, x, y)
-        trend.append({"eps": eps_f, "max_vanishing_functional": trend_max})
+        chain, eps_f = d_eps[keep], float(eps)
+        with np.errstate(all="ignore"):  # values out of float range are the errors below
+            psi_eps, psi_d = psi(eps), psi(d[keep])
+            # Python pow per entry: an array's ** 2 can differ from a scalar's by
+            # one ulp; the divisions are elementwise IEEE, as on scalars
+            ratio = (np.array([c ** 2 for c in chain.tolist()]) / eps ** 2) / (psi_d / psi_eps)
+        if not np.all(np.isfinite(psi_at := np.r_[psi_eps, psi_d]) & (psi_at > 0)):
+            raise ChainError(f"psi is not finite and positive at eps = {eps} "
+                             "or at a distance d >= eps")
+        if np.isnan(ratio).any():
+            raise ChainError(f"the ratio is NaN at eps = {eps}: a square or a quotient "
+                             "left the float range")
+        parts.append((xs[keep], ys[keep], np.full(keep.size, eps_f), d[keep], chain, ratio))
+        trend.append({"eps": eps_f,
+                      "max_vanishing_functional": float((psi_eps * chain / eps).max())})
+        k = int(np.argmax(ratio))  # the first max, as a row loop takes it
+        if ratio[k] > worst:
+            worst = float(ratio[k])
+            argmax = (eps_f, int(xs[keep[k]]), int(ys[keep[k]]))
+    table = Rows(**dict(zip(("x", "y", "eps", "d", "d_eps", "ratio"),
+                            map(np.concatenate, zip(*parts)))))
     return {"worst_ratio": worst, "argmax": argmax, "table": table,
             "trend": trend, "skipped": skipped}
 

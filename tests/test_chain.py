@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 import scipy.sparse
 import scipy.sparse.csgraph as csgraph
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import chainkit.chain as ch
 import chainkit.space as sp
@@ -112,6 +112,112 @@ def test_main_inequality_scan_reports_skips():
     # (0,1) has d < eps and is skipped
     assert scan["skipped"] == 1
     assert scan["worst_ratio"] > 0
+
+
+@pytest.mark.parametrize("spec, beta, epsilons, message", [
+    # psi(d) = d ** 300 overflows to inf: the ratios were NaN, worst_ratio 0, argmax None
+    ({"type": "euclidean", "coords": [0.0, 10.0, 20.0, 30.0, 40.0]}, 300.0, [15.0, 25.0],
+     "psi is not finite and positive at eps = 15.0"),
+    # psi(eps) underflows to 0: the ratios were 0
+    ({"type": "euclidean", "coords": [0.0, 1e-3, 2e-3, 3e-3, 4e-3]}, 300.0, [1.5e-3],
+     "psi is not finite and positive at eps = 0.0015"),
+    # eps ** 2 and d_eps ** 2 underflow to 0: NaN ratios, or ZeroDivisionError
+    ({"type": "explicit", "matrix": [[abs(i - j) * 1e-170 for j in range(5)] for i in range(5)]},
+     1.0, [1.5e-170], "the ratio is NaN at eps = 1.5e-170"),
+])
+@pytest.mark.parametrize("as_array", [False, True])
+def test_main_inequality_scan_rejects_ratios_out_of_float_range(spec, beta, epsilons, message,
+                                                                as_array):
+    space = sp.build_space(spec)
+    epsilons = np.array(epsilons) if as_array else epsilons
+    with pytest.raises(ch.ChainError, match=message):
+        ch.main_inequality_scan(space, power_scale(beta), [(0, 2), (0, 4), (1, 3)], epsilons)
+
+
+def _scan_reference(space, psi, pairs, epsilons) -> dict:
+    """``main_inequality_scan`` as a loop that builds one dict per row."""
+    xs, ys = np.asarray(pairs, dtype=int).reshape(-1, 2).T
+    sources, rows = np.unique(xs, return_inverse=True)
+    d = space.dist[xs, ys]
+    worst = 0.0
+    argmax = None
+    table = []
+    trend = []
+    skipped = 0
+    for eps in epsilons:
+        index = ch.ProximityIndex.build(space, eps)
+        d_eps = index.shortest_paths(sources, weighted=True)[0][rows, ys]
+        keep = np.flatnonzero((d >= eps) & np.isfinite(d_eps))
+        skipped += xs.size - keep.size
+        if not keep.size:
+            continue
+        psi_eps, eps_f = psi(eps), float(eps)
+        trend_max = 0.0
+        for x, y, dist, chain, psi_d in zip(
+                xs[keep].tolist(), ys[keep].tolist(), d[keep].tolist(),
+                d_eps[keep].tolist(), psi(d[keep]).tolist()):
+            ratio = (chain ** 2 / eps ** 2) / (psi_d / psi_eps)
+            table.append({"x": x, "y": y, "eps": eps_f, "d": dist,
+                          "d_eps": chain, "ratio": ratio})
+            trend_max = max(trend_max, psi_eps * chain / eps)
+            if ratio > worst:
+                worst = ratio
+                argmax = (eps_f, x, y)
+        trend.append({"eps": eps_f, "max_vanishing_functional": trend_max})
+    return {"worst_ratio": worst, "argmax": argmax, "table": table,
+            "trend": trend, "skipped": skipped}
+
+
+def _bits(v):
+    """``v`` with every float as its float.hex, for bit-for-bit comparison."""
+    if isinstance(v, dict):
+        return {k: _bits(x) for k, x in v.items()}
+    if isinstance(v, (list, tuple)):
+        return [_bits(x) for x in v]
+    return float.hex(v) if isinstance(v, float) else v
+
+
+@st.composite
+def scan_cases(draw):
+    """Spaces with exact distance ties, a snowflake line or a random cloud;
+    pairs with x == y and pairs that some eps disconnects; eps as Python floats
+    or np.geomspace; a power or a piecewise psi."""
+    kind = draw(st.sampled_from(["ties", "snowflake", "cloud"]))
+    if kind == "ties":
+        space = draw(spaces_with_ties())[0]
+    elif kind == "snowflake":
+        space = snowflake_grid(draw(st.floats(2.0, 4.0)), draw(st.integers(2, 40)))
+    else:
+        coords = np.random.default_rng(draw(st.integers(0, 10 ** 6))).uniform(
+            0, 1, (draw(st.integers(2, 40)), 2))
+        space = sp.build_space({"type": "euclidean", "coords": coords.tolist()})
+    ids = st.integers(0, space.n - 1)
+    pairs = draw(st.just(list(np.ndindex(space.n, space.n)))
+                 | st.lists(st.tuples(ids, ids), min_size=1, max_size=30))
+    radii = space.critical_radii().tolist() or [1.0]
+    if draw(st.booleans()):
+        epsilons = [float(e) for e in draw(st.lists(
+            st.sampled_from(radii) | st.floats(1e-3, 1.1 * max(radii)), min_size=1, max_size=4))]
+    else:
+        epsilons = np.geomspace(draw(st.floats(0.5, 1.0)) * min(radii), 1.1 * max(radii),
+                                draw(st.integers(1, 5)))
+    if draw(st.booleans()):
+        psi = power_scale(draw(st.just(2.0) | st.floats(1.0, 4.0)))  # 2: ratio ties
+    else:
+        psi = piecewise_scale([draw(st.sampled_from(radii))],
+                              draw(st.lists(st.floats(0.5, 4.0), min_size=2, max_size=2)))
+    return space, psi, pairs, epsilons
+
+
+@given(scan_cases())
+# 12 of its d_eps have an array ** 2 one ulp off the Python float's
+@example((snowflake_grid(3.0, 26), power_scale(3.0), list(np.ndindex(26, 26)), [0.3, 0.5]))
+@settings(max_examples=200, deadline=None)
+def test_main_inequality_scan_equals_the_row_loop(case):
+    scan, ref = ch.main_inequality_scan(*case), _scan_reference(*case)
+    assert _bits(list(scan["table"])) == _bits(ref["table"])
+    for key in ("worst_ratio", "argmax", "trend", "skipped"):
+        assert _bits(scan[key]) == _bits(ref[key]), key
 
 
 def test_chain_condition_estimate_geodesic_is_one():

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 import chainkit.space as sp
-from chainkit._report import dumps
+from chainkit._report import Rows, dumps
 from chainkit.cli import main
 from chainkit.dirichlet import load_graph_csv, path_graph, save_graph_csv
 from chainkit.heat import heat_kernel, sierpinski_gasket_graph
@@ -82,6 +82,13 @@ def test_chain_report_is_deterministic(line_space, tmp_path, capsys):
         assert main(["--json-only", "chain", "--space", line_space,
                      "--eps", "1.5,2.5", "--report", str(r)]) == 0
     assert r1.read_bytes() == r2.read_bytes()
+
+
+def test_chain_with_a_psi_that_overflows_is_an_error(line_space, capsys):
+    # psi(10) = 10 ** 400 is inf: the report read NaN ratios and exited 0
+    assert main(["chain", "--space", line_space, "--eps", "1.5",
+                 "--pairs", "0,10", "--psi", "power:400"]) == 1
+    assert "psi is not finite and positive at eps = 1.5" in capsys.readouterr().err
 
 
 _json_values = st.recursive(
@@ -164,10 +171,50 @@ _report_values = st.recursive(
 )
 
 
-@given(_report_values)
+@st.composite
+def _rows(draw):
+    """Int64 and float64 columns of 0-4 rows; the floats all finite (one
+    %-format renders the table) or with inf and NaN (the row-loop fallback)."""
+    n = draw(st.integers(0, 4))
+    floats = st.floats(allow_nan=False, allow_infinity=False) | st.just(-0.0)
+    if draw(st.booleans()):
+        floats |= st.sampled_from([math.inf, -math.inf, math.nan])
+    names = st.sampled_from(["x", "eps", "d_eps", "%d", "a%%s%"]) | _text
+    columns = draw(st.dictionaries(names, st.sampled_from(["int64", "float64"]), max_size=5))
+    return Rows(**{k: draw(hnp.arrays(t, n, elements=floats if t == "float64"
+                                      else st.integers(-2 ** 63, 2 ** 63 - 1)))
+                   for k, t in columns.items()})
+
+
+@given(_report_values | _rows())
 @settings(max_examples=400, deadline=None)
 def test_dumps_matches_the_reference_renderer(obj):
-    assert dumps(obj) == reference_dumps(obj)
+    assert dumps(obj) == reference_dumps(list(obj) if isinstance(obj, Rows) else obj)
+
+
+@given(_rows())
+@settings(max_examples=100, deadline=None)
+def test_rows_is_a_sequence_of_row_dicts(rows):
+    n = len(rows)
+    assert reference_dumps([rows[i] for i in range(-n, 0)]) == reference_dumps(list(rows))
+    assert dumps(rows[1:-1]) == reference_dumps(list(rows)[1:-1])
+    with pytest.raises(IndexError):
+        rows[n]
+    with pytest.raises(IndexError):
+        rows[-n - 1]
+    for row in rows:
+        assert [type(v) for v in row.values()] == [
+            float if c.dtype.kind == "f" else int for c in rows.columns.values()]
+
+
+def test_rows_iterates_across_blocks_of_rows():
+    rows = Rows(x=np.arange(10_000), ratio=np.arange(10_000) / 7)
+    assert list(rows) == [rows[i] for i in range(len(rows))]
+
+
+def test_rows_columns_must_have_equal_lengths():
+    with pytest.raises(ValueError, match="equal lengths"):
+        Rows(x=np.arange(3), ratio=np.ones(2))
 
 
 class _Tagged(str):

@@ -7,19 +7,22 @@ Run from anywhere:
 For each workload of BENCHMARK.json this runs ``bench/run.py --seed 1
 --trace 0`` RUNS times and keeps every result line (the last line of each
 run), the machine record of the first line, and the median and quartiles
-of each end-to-end metric.  With ``--parent DIR`` (a checkout of the commit to
-compare against) the runs alternate between DIR and this checkout, and so
-does the side that runs first, so both sides come from the same machine and
-the same minutes.
+of each end-to-end metric.  It then times the tier-1 command (ROADMAP.md) RUNS
+times and keeps each wall time, its pytest summary line and the median.  With
+``--parent DIR`` (a checkout of the commit to compare against) the runs
+alternate between DIR and this checkout, and so does the side that runs first,
+so both sides come from the same machine and the same minutes.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import statistics
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -34,6 +37,26 @@ def bench_once(checkout: Path, workload: str, seconds: float) -> tuple[dict, dic
         cwd=checkout, capture_output=True, text=True, check=True)
     lines = [json.loads(line) for line in proc.stdout.splitlines() if line.startswith("{")]
     return lines[-1], lines[0]["machine"]
+
+
+def tier1_once(checkout: Path) -> tuple[float, str]:
+    """Wall seconds of one tier-1 run in ``checkout``, and its summary line."""
+    path = os.environ.get("PYTHONPATH")
+    env = os.environ | {"PYTHONPATH": "src" + (os.pathsep + path if path else "")}
+    t0 = time.perf_counter()
+    proc = subprocess.run([sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors"],
+                          cwd=checkout, env=env, capture_output=True, text=True)
+    wall = time.perf_counter() - t0
+    return wall, (proc.stdout.strip().splitlines() or [f"exit {proc.returncode}"])[-1]
+
+
+def alternate(sides: dict, runs: int, once) -> dict:
+    """``once(checkout)`` RUNS times per side, alternating which side runs first."""
+    results: dict[str, list] = {side: [] for side in sides}
+    for k in range(runs):
+        for side, checkout in list(sides.items())[::(-1) ** k]:
+            results[side].append(once(checkout))
+    return results
 
 
 def summary(results: list[dict]) -> dict:
@@ -63,15 +86,19 @@ def main(argv=None) -> int:
     record = {"seed": SEED, "seconds": args.seconds, "runs": args.runs,
               "machine": {}, "workloads": {}}
     for workload in workloads:
-        results: dict[str, list[dict]] = {side: [] for side in sides}
-        for k in range(args.runs):  # alternate which side runs first
-            for side, checkout in list(sides.items())[::(-1) ** k]:
-                result, machine = bench_once(checkout, workload, args.seconds)
-                results[side].append(result)
-                record["machine"].setdefault(side, machine)
-        record["workloads"][workload] = {side: summary(r) for side, r in results.items()}
+        results = alternate(sides, args.runs,
+                            lambda checkout: bench_once(checkout, workload, args.seconds))
+        for side, runs in results.items():
+            record["machine"].setdefault(side, runs[0][1])
+        record["workloads"][workload] = {side: summary([r for r, _ in runs])
+                                         for side, runs in results.items()}
         print(workload, {side: s["median"] for side, s in
                          record["workloads"][workload].items()}, file=sys.stderr)
+    results = alternate(sides, args.runs, tier1_once)
+    record["tier1"] = {side: {"wall_s": [w for w, _ in runs], "summary": [s for _, s in runs],
+                              "median": statistics.median(w for w, _ in runs)}
+                       for side, runs in results.items()}
+    print("tier1", {side: t["median"] for side, t in record["tier1"].items()}, file=sys.stderr)
     args.out.write_text(json.dumps(record, indent=1, sort_keys=True) + "\n")
     return 0
 
