@@ -135,15 +135,15 @@ def cmd_chain(args) -> int:
     space = spc.load_space(args.space)
     psi = parse_psi_spec(args.psi)
     if args.pairs == "all":
-        pairs = [(i, j) for i in range(space.n) for j in range(i + 1, space.n)]
+        pairs = np.column_stack(np.triu_indices(space.n, 1))  # row-major, as (i, j > i) loops
     else:
         x, y = _ints(args.pairs)
-        pairs = [(x, y)]
+        pairs = np.array([[x, y]])
     scan = ch.main_inequality_scan(space, psi, pairs, args.eps)
     analyses = []
     for eps in args.eps:
         index = ch.ProximityIndex.build(space, eps)
-        for x, y in pairs[: 32 if args.pairs == "all" else len(pairs)]:
+        for x, y in pairs[:32].tolist():
             a = ch.analyze_pair(space, eps, x, y, index)
             analyses.append({
                 "x": a.x, "y": a.y, "eps": a.epsilon, "d_eps": a.d_eps,

@@ -141,10 +141,17 @@ def heat_kernel(form: GraphDirichletForm, times, verify: bool = True) -> HeatKer
         warnings.warn("graph is disconnected; kernel vanishes across components")
     m = form.vertex_measure
     d = np.sqrt(m)
-    A = (form.laplacian().toarray() / d[:, None]) / d[None, :]
-    lam, V = eigh((A + A.T) / 2.0)
+    # diag(d)^-1 L diag(d)^-1, symmetrised; built in place so that the
+    # divide-and-conquer workspace (about 2 n^2 doubles) keeps peak memory flat
+    A = form.laplacian().toarray()
+    A /= d[:, None]
+    A /= d[None, :]
+    A = A + A.T
+    A /= 2.0
+    lam, phi = eigh(A, overwrite_a=True, driver="evd")
+    del A
     lam = np.clip(lam, 0.0, None)
-    phi = V / d[:, None]
+    phi /= d[:, None]
     times = np.sort(np.asarray(times, dtype=float))
     if (times <= 0).any():
         raise HeatError("times must be positive")

@@ -84,6 +84,22 @@ def test_chain_report_is_deterministic(line_space, tmp_path, capsys):
     assert r1.read_bytes() == r2.read_bytes()
 
 
+def test_chain_all_pairs_in_loop_order(line_space, tmp_path, capsys):
+    import chainkit.chain as ch
+    from chainkit.scale import parse_psi_spec
+
+    report = tmp_path / "all.json"
+    assert main(["--json-only", "chain", "--space", line_space, "--eps", "1.5,2.5",
+                 "--report", str(report)]) == 0
+    out = json.loads(report.read_text())
+    # the (i, j > i) loop the command ran before, and its first 32 analyses per eps
+    loop = [(i, j) for i in range(11) for j in range(i + 1, 11)]
+    assert [(a["x"], a["y"]) for a in out["analyses"]] == loop[:32] * 2
+    scan = ch.main_inequality_scan(sp.load_space(line_space), parse_psi_spec("power:2"),
+                                   loop, [1.5, 2.5])
+    assert out["scan"] == json.loads(dumps(scan))
+
+
 def test_chain_with_a_psi_that_overflows_is_an_error(line_space, capsys):
     # psi(10) = 10 ** 400 is inf: the report read NaN ratios and exited 0
     assert main(["chain", "--space", line_space, "--eps", "1.5",

@@ -228,6 +228,55 @@ def test_rows_match_kernel_rows():
             np.testing.assert_allclose(block[k], table.kernel_at(t)[x], rtol=0, atol=1e-13)
 
 
+def weighted_gasket(level, seed):
+    """A relabelled gasket with seeded non-uniform conductances and masses."""
+    form, _ = permuted_gasket(level, seed)
+    rng = np.random.default_rng(seed)
+    c = sps.triu(form.conductances).tocoo()
+    w = sps.coo_matrix((rng.uniform(0.2, 5.0, c.nnz), (c.row, c.col)), shape=c.shape)
+    return GraphDirichletForm((w + w.T).tocsr(), rng.uniform(0.5, 2.0, form.n))
+
+
+def two_components():
+    """A weighted gasket-2 and a weighted 7-cycle, their vertices interleaved."""
+    a, b = weighted_gasket(2, 3), cycle_graph(7)
+    w = sps.block_diag([a.conductances, 0.5 * b.conductances]).tocoo()
+    m = np.r_[a.vertex_measure, np.linspace(0.6, 1.8, 7)]
+    perm = np.random.default_rng(8).permutation(m.size)
+    w = sps.coo_matrix((w.data, (perm[w.row], perm[w.col])), shape=w.shape).tocsr()
+    out = np.empty_like(m)
+    out[perm] = m
+    return GraphDirichletForm(w, out)
+
+
+@pytest.mark.parametrize("case", ["gasket-4-weighted", "two-components"])
+def test_heat_kernel_matches_expm_oracle(case, monkeypatch):
+    from scipy.linalg import expm
+
+    form = weighted_gasket(4, 11) if case == "gasket-4-weighted" else two_components()
+    L, w, m = form.laplacian().toarray(), form.conductances.toarray(), form.vertex_measure.copy()
+    shapes = []
+    eigh = ht.eigh
+    monkeypatch.setattr(ht, "eigh", lambda *a, **k: shapes.append(a[0].shape) or eigh(*a, **k))
+    times = [0.1, 1.0, 10.0, 100.0]
+    if form.is_connected():
+        table = ht.heat_kernel(form, times)
+    else:
+        with pytest.warns(UserWarning, match="disconnected"):
+            table = ht.heat_kernel(form, times)
+    assert shapes == [(form.n, form.n)]  # one solve, the n x n matrix passed first
+    # the in-place build leaves the form's arrays untouched
+    assert np.array_equal(form.laplacian().toarray(), L)
+    assert np.array_equal(form.conductances.toarray(), w)
+    assert np.array_equal(form.vertex_measure, m)
+    phi = table.eigenfunctions
+    np.testing.assert_allclose(phi.T @ (m[:, None] * phi), np.eye(form.n), rtol=0, atol=1e-12)
+    for t in times:
+        # p_t(x, y) m(y) is the transition matrix exp(-t diag(m)^-1 L)
+        P = expm(-t * (L / m[:, None]))
+        np.testing.assert_allclose(table.kernels[t] * m[None, :], P, rtol=0, atol=1e-12)
+
+
 def test_fit_never_materialises_the_kernel_tables():
     form, perm = permuted_gasket(5, 6)
     dist = form.geodesic_distances()

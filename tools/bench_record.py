@@ -8,7 +8,10 @@ For each workload of BENCHMARK.json this runs ``bench/run.py --seed 1
 --trace 0`` RUNS times and keeps every result line (the last line of each
 run), the machine record of the first line, and the median and quartiles
 of each end-to-end metric.  It then times the tier-1 command (ROADMAP.md) RUNS
-times and keeps each wall time, its pytest summary line and the median.  With
+times and keeps each wall time, its pytest summary line and the median, and
+runs ``pytest -q -s tests/test_acceptance.py`` RUNS times, keeping the seconds
+of each timed ``[PASS] criterion N: ... (x.xxs)`` line and their median per
+criterion (a criterion that fails prints no line and gets no time).  With
 ``--parent DIR`` (a checkout of the commit to compare against) the runs
 alternate between DIR and this checkout, and so does the side that runs first,
 so both sides come from the same machine and the same minutes.
@@ -19,6 +22,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import statistics
 import subprocess
 import sys
@@ -27,6 +31,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SEED = 1  # the seed of every committed record, so records compare
+CRITERION = re.compile(r"\[PASS\] criterion (\d+): .* \((\d+\.\d+)s\)$", re.M)
 
 
 def bench_once(checkout: Path, workload: str, seconds: float) -> tuple[dict, dict]:
@@ -39,15 +44,27 @@ def bench_once(checkout: Path, workload: str, seconds: float) -> tuple[dict, dic
     return lines[-1], lines[0]["machine"]
 
 
-def tier1_once(checkout: Path) -> tuple[float, str]:
-    """Wall seconds of one tier-1 run in ``checkout``, and its summary line."""
+def pytest_once(checkout: Path, *args: str) -> tuple[float, str, str]:
+    """Wall seconds of one pytest run in ``checkout``, its stdout and its summary line."""
     path = os.environ.get("PYTHONPATH")
     env = os.environ | {"PYTHONPATH": "src" + (os.pathsep + path if path else "")}
     t0 = time.perf_counter()
-    proc = subprocess.run([sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors"],
+    proc = subprocess.run([sys.executable, "-m", "pytest", "-q", *args],
                           cwd=checkout, env=env, capture_output=True, text=True)
     wall = time.perf_counter() - t0
-    return wall, (proc.stdout.strip().splitlines() or [f"exit {proc.returncode}"])[-1]
+    return wall, proc.stdout, (proc.stdout.strip().splitlines() or [f"exit {proc.returncode}"])[-1]
+
+
+def tier1_once(checkout: Path) -> tuple[float, str]:
+    """Wall seconds of one tier-1 run in ``checkout``, and its summary line."""
+    wall, _, last = pytest_once(checkout, "--continue-on-collection-errors")
+    return wall, last
+
+
+def acceptance_once(checkout: Path) -> tuple[dict, str]:
+    """Seconds of each timed criterion in one acceptance run, and its summary line."""
+    _, out, last = pytest_once(checkout, "-s", "tests/test_acceptance.py")
+    return {int(n): float(s) for n, s in CRITERION.findall(out)}, last
 
 
 def alternate(sides: dict, runs: int, once) -> dict:
@@ -99,6 +116,16 @@ def main(argv=None) -> int:
                               "median": statistics.median(w for w, _ in runs)}
                        for side, runs in results.items()}
     print("tier1", {side: t["median"] for side, t in record["tier1"].items()}, file=sys.stderr)
+    results = alternate(sides, args.runs, acceptance_once)
+    record["acceptance"] = {}
+    for side, runs in results.items():
+        seconds = {n: [times[n] for times, _ in runs if n in times]
+                   for n in sorted({n for times, _ in runs for n in times})}
+        record["acceptance"][side] = {"criterion_s": seconds,
+                                      "median": {n: statistics.median(v) for n, v in seconds.items()},
+                                      "summary": [last for _, last in runs]}
+    print("acceptance", {side: a["median"] for side, a in record["acceptance"].items()},
+          file=sys.stderr)
     args.out.write_text(json.dumps(record, indent=1, sort_keys=True) + "\n")
     return 0
 
