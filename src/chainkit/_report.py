@@ -8,7 +8,6 @@ byte-identical reports.
 
 from __future__ import annotations
 
-import functools
 from collections.abc import Sequence
 from json.encoder import encode_basestring
 
@@ -53,34 +52,17 @@ def _rows(rows: Rows) -> str:
     cols = sorted(rows.columns.items())
     if not all(c.dtype.kind in "iu" or c.dtype.kind == "f" and np.isfinite(c).all()
                for _, c in cols):
-        return _seq(list(rows))  # "NaN", "Infinity", bools, ... as a row loop renders them
+        return _render(list(rows))  # "NaN", "Infinity", bools, ... as a row loop renders them
     fmt = "{" + ",".join(encode_basestring(k).replace("%", "%%")
                          + (":%d" if c.dtype.kind in "iu" else ":%.17g") for k, c in cols) + "}"
     return "[" + ",".join(map(fmt.__mod__, zip(*(c.tolist() for _, c in cols)))) + "]"
 
 
-def _seq(seq) -> str:
-    get = _RENDER.get
-    return "[" + ",".join([get(type(v), _subclass)(v) for v in seq]) + "]"
-
-
-# equal tuples share an entry, so only tuples of exact str keys may be cached
-@functools.lru_cache(maxsize=256)
-def _key_prefixes(keys: tuple) -> tuple[tuple[str, str], ...]:
-    """('"key":', key) for each key, in the order of the keys' str."""
-    return tuple((encode_basestring(str(k)) + ":", k) for k in sorted(keys, key=str))
-
-
-def _dict(obj: dict) -> str:
-    keys = tuple(obj)
-    exact = all(type(k) is str for k in keys)
-    prefixes = (_key_prefixes if exact else _key_prefixes.__wrapped__)(keys)
-    get = _RENDER.get
-    return "{" + ",".join([p + get(type(v := obj[k]), _subclass)(v)
-                           for p, k in prefixes]) + "}"
-
-
-def _subclass(obj) -> str:  # every type without an entry in _RENDER
+def _render(obj) -> str:
+    if obj is None:
+        return "null"
+    if obj is True or obj is False:
+        return "true" if obj else "false"
     if isinstance(obj, (int, np.integer)):
         return str(int(obj))
     if isinstance(obj, (float, np.floating)):
@@ -88,24 +70,21 @@ def _subclass(obj) -> str:  # every type without an entry in _RENDER
     if isinstance(obj, str):
         return encode_basestring(obj)
     if isinstance(obj, dict):
-        return _dict(obj)
-    if isinstance(obj, (list, tuple, np.ndarray, frozenset, set, range)):
-        return _seq(sorted(obj) if isinstance(obj, (set, frozenset)) else obj)
+        return "{" + ",".join([encode_basestring(str(k)) + ":" + _render(obj[k])
+                               for k in sorted(obj, key=str)]) + "}"
+    if isinstance(obj, Rows):
+        return _rows(obj)
+    if isinstance(obj, (set, frozenset)):
+        obj = sorted(obj)
+    elif isinstance(obj, np.ndarray) and obj.ndim and obj.dtype.kind in "fiu":
+        obj = obj.tolist()  # the Python ints and floats of its numpy scalars
+    if isinstance(obj, (list, tuple, np.ndarray, range)):  # a 0-d array fails to iterate
+        return "[" + ",".join([_render(v) for v in obj]) + "]"
     raise TypeError(f"cannot serialize {type(obj).__name__} deterministically")
 
 
-# exact types; tolist() gives the Python ints and floats that a numeric
-# array's numpy scalars convert to, and a 0-d array fails to iterate
-_RENDER = {
-    type(None): lambda _: "null", bool: lambda b: "true" if b else "false",
-    int: int.__repr__, float: _float, np.float64: lambda x: _float(float(x)),
-    str: encode_basestring, dict: _dict, list: _seq, tuple: _seq,
-    np.ndarray: lambda a: _seq(a.tolist() if a.dtype.kind in "fiu" else a), Rows: _rows,
-}
-
-
 def dumps(obj) -> str:
-    return _RENDER.get(type(obj), _subclass)(obj)
+    return _render(obj)  # recursion stays in _render, so dumps runs once per report
 
 
 def write_report(payload: dict, path) -> None:

@@ -35,7 +35,7 @@ class ProximityIndex:
 
     @classmethod
     def build(cls, space: FiniteMetricMeasureSpace, epsilon: float) -> "ProximityIndex":
-        if epsilon <= 0:
+        if not epsilon > 0:  # NaN fails too
             raise ChainError("epsilon must be positive")
         adj = space.dist < epsilon
         np.fill_diagonal(adj, False)  # CSR arrays straight from the mask, rows in order
@@ -297,7 +297,7 @@ def epsilon_of_t(space: FiniteMetricMeasureSpace, psi, x: int, y: int,
     psi is called once per step on all its breaks, so a tabulated psi must
     cover every break of the steps down to the one holding the answer.
     """
-    if t <= 0:
+    if not t > 0:
         raise ChainError("t must be positive")
     if x == y:
         raise ChainError("epsilon_of_t requires x != y")

@@ -137,6 +137,9 @@ def heat_kernel(form: GraphDirichletForm, times, verify: bool = True) -> HeatKer
     n = form.n
     if n > 3000:
         raise HeatError("dense eigendecomposition is limited to n <= 3000")
+    times = np.sort(np.asarray(times, dtype=float))
+    if not ((times > 0) & (times < np.inf)).all():  # NaN fails too
+        raise HeatError("times must be finite and positive")
     if not form.is_connected():
         warnings.warn("graph is disconnected; kernel vanishes across components")
     m = form.vertex_measure
@@ -152,9 +155,6 @@ def heat_kernel(form: GraphDirichletForm, times, verify: bool = True) -> HeatKer
     del A
     lam = np.clip(lam, 0.0, None)
     phi /= d[:, None]
-    times = np.sort(np.asarray(times, dtype=float))
-    if (times <= 0).any():
-        raise HeatError("times must be positive")
     table = HeatKernelTable(form=form, times=times, kernels=_LazyKernels(lam, phi, times),
                             eigenvalues=lam, eigenfunctions=phi)
     if verify:

@@ -53,7 +53,7 @@ class EpsilonNet:
 def build_net(space: FiniteMetricMeasureSpace, epsilon: float,
               include=None) -> EpsilonNet:
     """Greedy maximal eps-separated set, seeded with the forced members."""
-    if epsilon <= 0:
+    if not epsilon > 0:  # NaN fails too
         raise NetError("epsilon must be positive")
     include = sorted(set(include)) if include else []
     check_ids(space, *include)

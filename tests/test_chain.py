@@ -448,6 +448,8 @@ def test_epsilon_of_t_below_resolution():
         ch.epsilon_of_t(space, psi, 0, 10, 1e-9)
     with pytest.raises(ch.ChainError):
         ch.epsilon_of_t(space, psi, 0, 0, 1.0)
+    with pytest.raises(ch.ChainError, match="t must be positive"):
+        ch.epsilon_of_t(space, psi, 0, 10, math.nan)
 
 
 def reference_epsilon_of_t(space, psi, x, y, t):

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 import chainkit.space as sp
-from chainkit._report import Rows, dumps
+from chainkit._report import Rows, dumps, write_report
 from chainkit.cli import main
 from chainkit.dirichlet import load_graph_csv, path_graph, save_graph_csv
 from chainkit.heat import heat_kernel, sierpinski_gasket_graph
@@ -118,8 +118,8 @@ def test_dumps_round_trips_through_json(obj):
     assert json.loads(dumps(obj)) == obj
 
 
-# the renderer reports used before the type-dispatched one, kept as the
-# reference for its bytes
+# the byte reference for dumps: every report must render exactly as this
+# naive renderer would
 def _render(obj, out: list) -> None:
     if obj is None:
         out.append("null")
@@ -239,7 +239,7 @@ class _Tagged(str):
 
 
 def test_dumps_renders_str_subclass_keys_by_their_str():
-    # a key equal to an earlier exact-str key must not reuse its sorted order
+    # a str subclass key sorts and renders by its str, next to equal exact-str keys too
     obj = [{"b": 1, "a": 2}, {_Tagged("b"): 1, "a": 2}, {"b": 3, _Tagged("a"): 4}]
     assert dumps(obj) == reference_dumps(obj)
     assert dumps(obj[1]) == '{"a":2,"tag:b":1}'
@@ -253,6 +253,20 @@ def test_dumps_rejects_what_the_reference_rejects(obj):
         reference_dumps(obj)
     with pytest.raises(TypeError):
         dumps(obj)
+
+
+def test_write_report_calls_dumps_once(monkeypatch, tmp_path):
+    # a tracer that wraps dumps counts each report's bytes once only when
+    # nested values render without going back through dumps
+    calls = []
+    monkeypatch.setattr("chainkit._report.dumps", lambda obj: calls.append(obj) or dumps(obj))
+    rows = Rows(x=np.arange(3), ratio=np.ones(3))
+    payload = {"config": {"eps": [1.5, 2.0]}, "scan": {"rows": rows},
+               "analyses": [{"x": 0, "path": np.arange(2)}]}
+    write_report(payload, tmp_path / "r.json")
+    assert len(calls) == 1
+    assert (tmp_path / "r.json").read_text() == reference_dumps(
+        {**payload, "scan": {"rows": list(rows)}}) + "\n"
 
 
 def test_net_subcommand(line_space, capsys):
@@ -313,6 +327,21 @@ def test_replay_rejects_nonpositive_edge_lengths(lengths, tmp_path, capsys):
     graph.write_text(f"0,1,1,{a}\n1,2,1,{b}\n")
     assert main(["replay", "--graph", str(graph), "--x", "0", "--y", "2", "--eps", "1"]) == 1
     assert "lengths must be positive" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["net", "--space", "{line}", "--eps", "nan", "--certify"], "epsilon must be positive"),
+    (["chain", "--space", "{line}", "--eps", "nan"], "epsilon must be positive"),
+    (["replay", "--graph", "{path}", "--x", "0", "--y", "10", "--eps", "nan"],
+     "epsilon must be positive"),
+    (["heat", "--graph", "{path}", "--times", "nan,1"], "times must be finite and positive"),
+    (["heat", "--graph", "{path}", "--times", "inf,1"], "times must be finite and positive"),
+])
+def test_nan_and_infinite_inputs_are_errors(argv, message, line_space, path_csv, capsys):
+    # NaN compares False: net certified every point, heat wrote NaN diagonals,
+    # and chain, replay and heat at inf failed with unrelated messages
+    assert main([a.format(line=line_space, path=path_csv) for a in argv]) == 1
+    assert message in capsys.readouterr().err
 
 
 def test_heat_subcommand_writes_csv(path_csv, tmp_path, capsys):

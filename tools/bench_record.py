@@ -8,10 +8,12 @@ For each workload of BENCHMARK.json this runs ``bench/run.py --seed 1
 --trace 0`` RUNS times and keeps every result line (the last line of each
 run), the machine record of the first line, and the median and quartiles
 of each end-to-end metric.  It then times the tier-1 command (ROADMAP.md) RUNS
-times and keeps each wall time, its pytest summary line and the median, and
-runs ``pytest -q -s tests/test_acceptance.py`` RUNS times, keeping the seconds
-of each timed ``[PASS] criterion N: ... (x.xxs)`` line and their median per
-criterion (a criterion that fails prints no line and gets no time).  With
+times and keeps each wall time, its pytest summary line and the median, with
+the call seconds of each test (pytest ``--durations=0``, which hides calls
+under 0.005 s) and their median per test.  It runs ``pytest -q -s
+tests/test_acceptance.py`` RUNS times, keeping the seconds of each timed
+``[PASS] criterion N: ... (x.xxs)`` line and their median per criterion (a
+criterion that fails prints no line and gets no time).  With
 ``--parent DIR`` (a checkout of the commit to compare against) the runs
 alternate between DIR and this checkout, and so does the side that runs first,
 so both sides come from the same machine and the same minutes.
@@ -32,6 +34,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 SEED = 1  # the seed of every committed record, so records compare
 CRITERION = re.compile(r"\[PASS\] criterion (\d+): .* \((\d+\.\d+)s\)$", re.M)
+DURATION = re.compile(r"^(\d+\.\d+)s call +(\S.*)$", re.M)  # a parametrised id may hold spaces
 
 
 def bench_once(checkout: Path, workload: str, seconds: float) -> tuple[dict, dict]:
@@ -55,16 +58,23 @@ def pytest_once(checkout: Path, *args: str) -> tuple[float, str, str]:
     return wall, proc.stdout, (proc.stdout.strip().splitlines() or [f"exit {proc.returncode}"])[-1]
 
 
-def tier1_once(checkout: Path) -> tuple[float, str]:
-    """Wall seconds of one tier-1 run in ``checkout``, and its summary line."""
-    wall, _, last = pytest_once(checkout, "--continue-on-collection-errors")
-    return wall, last
+def tier1_once(checkout: Path) -> tuple[float, str, dict]:
+    """Wall seconds of one tier-1 run in ``checkout``, its summary line and the
+    call seconds of each test."""
+    wall, out, last = pytest_once(checkout, "--continue-on-collection-errors", "--durations=0")
+    return wall, last, {test: float(s) for s, test in DURATION.findall(out)}
 
 
 def acceptance_once(checkout: Path) -> tuple[dict, str]:
     """Seconds of each timed criterion in one acceptance run, and its summary line."""
     _, out, last = pytest_once(checkout, "-s", "tests/test_acceptance.py")
     return {int(n): float(s) for n, s in CRITERION.findall(out)}, last
+
+
+def per_key(runs: list[dict]) -> tuple[dict, dict]:
+    """Each key's values over the runs that have it, and their medians."""
+    values = {k: [run[k] for run in runs if k in run] for k in sorted({k for r in runs for k in r})}
+    return values, {k: statistics.median(v) for k, v in values.items()}
 
 
 def alternate(sides: dict, runs: int, once) -> dict:
@@ -112,17 +122,19 @@ def main(argv=None) -> int:
         print(workload, {side: s["median"] for side, s in
                          record["workloads"][workload].items()}, file=sys.stderr)
     results = alternate(sides, args.runs, tier1_once)
-    record["tier1"] = {side: {"wall_s": [w for w, _ in runs], "summary": [s for _, s in runs],
-                              "median": statistics.median(w for w, _ in runs)}
-                       for side, runs in results.items()}
+    record["tier1"] = {}
+    for side, runs in results.items():
+        test_s, test_median = per_key([tests for _, _, tests in runs])
+        record["tier1"][side] = {"wall_s": [w for w, _, _ in runs],
+                                 "summary": [s for _, s, _ in runs],
+                                 "median": statistics.median(w for w, _, _ in runs),
+                                 "test_s": test_s, "test_median": test_median}
     print("tier1", {side: t["median"] for side, t in record["tier1"].items()}, file=sys.stderr)
     results = alternate(sides, args.runs, acceptance_once)
     record["acceptance"] = {}
     for side, runs in results.items():
-        seconds = {n: [times[n] for times, _ in runs if n in times]
-                   for n in sorted({n for times, _ in runs for n in times})}
-        record["acceptance"][side] = {"criterion_s": seconds,
-                                      "median": {n: statistics.median(v) for n, v in seconds.items()},
+        seconds, median = per_key([times for times, _ in runs])
+        record["acceptance"][side] = {"criterion_s": seconds, "median": median,
                                       "summary": [last for _, last in runs]}
     print("acceptance", {side: a["median"] for side, a in record["acceptance"].items()},
           file=sys.stderr)
