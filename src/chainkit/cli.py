@@ -201,6 +201,8 @@ def cmd_dirichlet(args) -> int:
         if not args.f or len(args.f) != form.n:
             raise UsageError("energy requires --f with one value per vertex")
         f = np.asarray(args.f)
+        if not np.isfinite(f).all():
+            raise UsageError("energy requires finite --f values")
         em = df.energy_measure(form, f)
         payload = {"config": _config_echo(args), "energy": em.total,
                    "density": list(em.density)}

@@ -24,11 +24,19 @@ import scipy.sparse.csgraph as csgraph
 import scipy.sparse.linalg as spla
 from scipy.linalg import eigh
 
-from .space import distance_profile
+from .space import sorted_profiles
+
+BLOCK_ENTRIES = 1 << 17  # entries of one block temporary (1 MB of float64)
 
 
 class DirichletFormError(ValueError):
     pass
+
+
+def row_blocks(rows: int, width: int) -> list[slice]:
+    """Slices of consecutive rows, each block at most BLOCK_ENTRIES entries wide."""
+    step = max(1, BLOCK_ENTRIES // max(width, 1))
+    return [slice(lo, lo + step) for lo in range(0, rows, step)]
 
 
 @dataclass
@@ -118,11 +126,16 @@ def cycle_graph(n: int, conductance: float = 1.0, measure: float = 1.0) -> Graph
     return GraphDirichletForm(w, np.full(n, measure))
 
 
-def energy(form: GraphDirichletForm, f: np.ndarray) -> float:
-    """Dirichlet energy E(f, f) = sum over edges of w_e (df)^2."""
+def energy(form: GraphDirichletForm, f: np.ndarray):
+    """Dirichlet energy E(f, f) = sum over edges of w_e (df)^2; a (k, n) array
+    gives one energy per row, each row summed alone as a 1-D array."""
     f = np.asarray(f, dtype=float)
-    w = form.edges
-    return 0.5 * float(np.sum(w.data * (f[w.row] - f[w.col]) ** 2))
+    F, w = np.atleast_2d(f), form.edges
+    out = np.empty(len(F))
+    for sl in row_blocks(len(F), w.data.size):  # take() keeps each row contiguous
+        diff = F[sl].take(w.row, axis=1) - F[sl].take(w.col, axis=1)
+        out[sl] = [0.5 * c.sum() for c in w.data * diff ** 2]
+    return float(out[0]) if f.ndim == 1 else out
 
 
 @dataclass
@@ -186,21 +199,26 @@ def capacity(form: GraphDirichletForm, A, B) -> tuple[float, np.ndarray]:
     return energy(form, f), f
 
 
-def truncated_maximal(space, nu: np.ndarray, x: int, R: float) -> float:
+def truncated_maximal(space, nu: np.ndarray, x, R: float):
     """sup over 0 < r < R of nu(B(x,r)) / m(B(x,r)) (strict balls).
 
     ``space`` is a FiniteMetricMeasureSpace (or any object with ``dist`` and
     ``measure``).  The sup is exact: balls change only at the distinct
-    distances from x, so it suffices to scan those below R.
+    distances from x, so it suffices to scan those below R.  An array of
+    centres gives one value per centre, read from blocks of sorted rows.
     """
-    if R <= 0:
+    if not R > 0:  # NaN fails too
         raise DirichletFormError("R must be positive")
-    radii, nu_ball, m_ball = distance_profile(space.dist[x], np.asarray(nu, dtype=float),
-                                              space.measure)
-    # ball {d <= r_k} is realized by radii just above r_k; admissible while
-    # r_k < R, which holds for r_0 = d(x, x) = 0
-    k = np.searchsorted(radii, R)
-    return float(np.max(nu_ball[:k] / m_ball[:k]))
+    nu = np.asarray(nu, dtype=float)
+    centres = np.atleast_1d(x)
+    out = np.empty(centres.size)
+    for sl in row_blocks(centres.size, space.measure.size):
+        d, last, nu_ball, m_ball = sorted_profiles(space.dist[centres[sl]], nu,
+                                                   space.measure)
+        # ball {d <= r} is realized by radii just above r, at the last of its
+        # run of distances; admissible while r < R, which holds for d(x, x) = 0
+        out[sl] = np.where(last & (d < R), nu_ball / m_ball, -np.inf).max(axis=1)
+    return float(out[0]) if np.ndim(x) == 0 else out
 
 
 def poincare_constant(form: GraphDirichletForm, psi, x: int, r: float) -> float:

@@ -76,6 +76,15 @@ def build_net(space: FiniteMetricMeasureSpace, epsilon: float,
     return net
 
 
+def _raise_first(members: np.ndarray, checks: dict) -> None:
+    """NetError for the first member whose row fails a check (message template:
+    (members x n) mask), trying the checks in order for each member."""
+    failed = np.column_stack([mask.any(axis=1) for mask in checks.values()])
+    if failed.any():
+        i, k = divmod(int(np.argmax(failed)), failed.shape[1])
+        raise NetError(list(checks)[k].format(members[i]))
+
+
 def voronoi_assign(net: EpsilonNet) -> np.ndarray:
     """Nearest-member assignment, ties broken to the smallest member id.
 
@@ -83,47 +92,49 @@ def voronoi_assign(net: EpsilonNet) -> np.ndarray:
     member z.
     """
     mem = np.asarray(sorted(net.members))
-    d = net.space.dist[:, mem]
-    owner = mem[np.argmin(d, axis=1)]  # argmin takes the first (smallest id) tie
-    for z in mem:
-        cell = owner == z
-        dz = net.space.dist[z]
-        if (cell & (dz > net.epsilon)).any():
-            raise NetError(f"Voronoi cell of {z} leaves the closed eps-ball")
-        if ((dz < net.epsilon / 2) & ~cell).any():
-            raise NetError(f"Voronoi cell of {z} misses part of B(z, eps/2)")
+    dist, eps = net.space.dist, net.epsilon
+    owner = mem[np.argmin(dist[:, mem], axis=1)]  # argmin takes the first (smallest id) tie
+    for sl in df.row_blocks(mem.size, owner.size):
+        d, cell = dist[mem[sl]], owner == mem[sl, None]
+        _raise_first(mem[sl], {"Voronoi cell of {} leaves the closed eps-ball": cell & (d > eps),
+                               "Voronoi cell of {} misses part of B(z, eps/2)":
+                               (d < eps / 2) & ~cell})
     return owner
 
 
 @dataclass
 class PartitionOfUnity:
-    """Family {psi_z} indexed by net members, summing to one everywhere."""
+    """Family {psi_z} indexed by net members, summing to one everywhere: row i
+    of ``psi`` (members x n) and ``energies[i]`` belong to the i-th member in
+    ascending id order."""
 
     net: EpsilonNet
     form: df.GraphDirichletForm
-    psi_values: dict[int, np.ndarray]
-    energies: dict[int, float]
+    psi: np.ndarray
+    energies: np.ndarray
 
     def verify(self) -> None:
-        eps = self.net.epsilon
-        space = self.net.space
-        total = sum(self.psi_values.values())
-        if np.abs(total - 1.0).max() > 1e-12:
+        eps, dist = self.net.epsilon, self.net.space.dist
+        mem = np.asarray(sorted(self.net.members))
+        if np.abs(self.psi.sum(axis=0) - 1.0).max() > 1e-12:
             raise NetError("partition does not sum to one")
-        for z, psi_z in self.psi_values.items():
-            dz = space.dist[z]
-            if (np.abs(psi_z[dz < eps / 4] - 1.0) > 0).any():
-                raise NetError(f"psi_{z} is not identically 1 on B(z, eps/4)")
-            if (psi_z[dz >= 5 * eps / 4] != 0).any():
-                raise NetError(f"psi_{z} does not vanish outside B(z, 5 eps/4)")
+        blocks = df.row_blocks(mem.size, dist.shape[0])
+        for sl in blocks:
+            d, psi = dist[mem[sl]], self.psi[sl]
+            _raise_first(mem[sl], {
+                "psi_{} is not identically 1 on B(z, eps/4)":
+                (d < eps / 4) & (np.abs(psi - 1.0) > 0),
+                "psi_{} does not vanish outside B(z, 5 eps/4)": (d >= 5 * eps / 4) & (psi != 0)})
         # psi_w (w != z) vanishes on B(z, eps/4) iff only psi_z may be nonzero there
-        nonzero = sum(psi_w != 0 for psi_w in self.psi_values.values())
-        for z, psi_z in self.psi_values.items():
-            ball = space.dist[z] < eps / 4
-            if (nonzero[ball] - (psi_z[ball] != 0)).any():
-                w = next(w for w, psi_w in self.psi_values.items()
-                         if w != z and (psi_w[ball] != 0).any())
-                raise NetError(f"psi_{w} does not vanish on B({z}, eps/4)")
+        nonzero = sum((self.psi[sl] != 0).sum(axis=0) for sl in blocks)
+        for sl in blocks:
+            ball = dist[mem[sl]] < eps / 4
+            shared = (ball & (nonzero != (self.psi[sl] != 0))).any(axis=1)
+            if shared.any():
+                i = np.argmax(shared)
+                w = next(w for w, psi_w in zip(mem, self.psi)
+                         if w != mem[sl][i] and (psi_w[ball[i]] != 0).any())
+                raise NetError(f"psi_{w} does not vanish on B({mem[sl][i]}, eps/4)")
 
 
 def build_partition(space: FiniteMetricMeasureSpace, net: EpsilonNet) -> PartitionOfUnity:
@@ -137,18 +148,25 @@ def build_partition(space: FiniteMetricMeasureSpace, net: EpsilonNet) -> Partiti
         raise NetError("partition of unity requires a graph-backed space")
     eps = net.epsilon
     owner = net.voronoi if net.voronoi is not None else voronoi_assign(net)
-    phis = {}
-    for z in sorted(net.members):
-        cell = np.flatnonzero(owner == z)
-        d_cell = space.dist[:, cell].min(axis=1)
-        phis[z] = np.clip(1.0 - d_cell / (eps / 4.0), 0.0, 1.0)
-    denom = sum(phis.values())
+    mem = np.asarray(sorted(net.members))
+    # row i lists the points of R_z, padded to the largest cell with its first
+    # point; d(p, R_z) is the min over their rows, as dist is symmetric
+    order = np.argsort(owner, kind="stable")
+    cell = np.searchsorted(mem, owner[order])
+    rows = np.full((mem.size, np.bincount(cell).max()), -1)
+    rows[cell, np.arange(space.n) - np.searchsorted(cell, cell)] = order
+    rows = np.where(rows < 0, rows[:, :1], rows)
+    psi = np.empty((mem.size, space.n))
+    for sl in df.row_blocks(mem.size, rows.shape[1] * space.n):
+        psi[sl] = space.dist[rows[sl]].min(axis=1)
+    psi /= eps / 4.0
+    np.clip(np.subtract(1.0, psi, out=psi), 0.0, 1.0, out=psi)
+    denom = psi.sum(axis=0)  # rows added one after another, in member order
     if (denom <= 0).any():
         raise AssertionError("partition denominator vanished; net is not maximal")
-    psis = {z: phi / denom for z, phi in phis.items()}
-    energies = {z: df.energy(space.graph, psi_z) for z, psi_z in psis.items()}
-    pou = PartitionOfUnity(net=net, form=space.graph, psi_values=psis,
-                           energies=energies)
+    psi /= denom
+    pou = PartitionOfUnity(net=net, form=space.graph, psi=psi,
+                           energies=df.energy(space.graph, psi))
     pou.verify()
     return pou
 
@@ -157,11 +175,12 @@ def partition_energy_report(space: FiniteMetricMeasureSpace,
                             pou: PartitionOfUnity, psi_scale) -> dict:
     """Compare E(psi_z, psi_z) with m(B(z, eps)) / Psi(eps) per member."""
     eps = pou.net.epsilon
+    psi_eps = psi_scale(eps)
     rows = []
     worst = 0.0
-    for z, E in sorted(pou.energies.items()):
+    for z, E in zip(sorted(pou.net.members), pou.energies.tolist()):
         vol = ball_volume(space, z, eps)
-        bound_core = vol / psi_scale(eps)
+        bound_core = vol / psi_eps
         ratio = E / bound_core if bound_core > 0 else math.inf
         rows.append({"member": int(z), "energy": E, "volume": vol,
                      "ratio": ratio})
@@ -213,7 +232,7 @@ def proof_replay(space: FiniteMetricMeasureSpace, psi_scale, x: int, y: int,
     net = build_net(space, eps_prime, include={x, y})
     u_hat = {z: int(hops[z]) for z in net.members}
 
-    mem = sorted(net.members)
+    mem = np.asarray(sorted(net.members))
     u_mem = hops[mem]
     i, j = np.nonzero(space.dist[np.ix_(mem, mem)] < epsilon)
     lipschitz_ok = not (np.abs(u_mem[i] - u_mem[j]) > 1).any()
@@ -224,23 +243,24 @@ def proof_replay(space: FiniteMetricMeasureSpace, psi_scale, x: int, y: int,
         )
 
     pou = build_partition(space, net)
-    u = sum(u_hat[z] * pou.psi_values[z] for z in net.members)
+    u = sum(u_hat[z] * pou.psi[np.searchsorted(mem, z)] for z in net.members)  # in net order
 
     # u is constant on each plateau B(z, eps'/4), so the energy measure
-    # vanishes there; checked via the per-vertex density.
+    # vanishes there; checked via the per-vertex density.  Each plateau lies
+    # in its member's certified cell (B(z, eps'/2) is in R_z).
     gamma = df.energy_measure(space.graph, u).density
-    for z in mem:
-        plateau = space.dist[z] < eps_prime / 4
-        if not np.allclose(u[plateau], u_hat[z], rtol=0, atol=1e-9):
-            raise AssertionError("u does not equal u_hat on the plateau")
+    plateau = space.dist[net.voronoi, np.arange(space.n)] < eps_prime / 4
+    if not (np.abs(u - hops[net.voronoi]) <= 1e-9)[plateau].all():  # NaN fails too
+        raise AssertionError("u does not equal u_hat on the plateau")
 
     R = 2.0 * d_xy
-    M = {z: df.truncated_maximal(space, gamma, z, R) for z in mem}
-    max_M = max(M.values())
+    M = df.truncated_maximal(space, gamma, mem, R)
+    max_M = float(M.max())
     maximal_constant = psi_scale(epsilon) * max_M
 
     # x and y are members, so the two-point check reuses their maximal values
-    two_point = df._two_point(u, x, y, psi_scale(R), M[x], M[y])
+    Mx, My = (float(M[np.searchsorted(mem, v)]) for v in (x, y))
+    two_point = df._two_point(u, x, y, psi_scale(R), Mx, My)
 
     n_eps_xy = u_hat[y]
     recovered_constant = (n_eps_xy ** 2) * psi_scale(epsilon) / psi_scale(d_xy)

@@ -231,8 +231,8 @@ class PhiTransform:
         return np.array([self.value(float(v)) for v in np.asarray(s).ravel()])
 
     def value(self, s: float) -> float:
-        if not s > 0:
-            raise ScaleError("phi is defined for s > 0")
+        if not 0 < s < math.inf:  # NaN fails too
+            raise ScaleError("phi is defined for finite s > 0")
         psi = self.source
         lo, hi, x0, y0, p = psi.pieces
         ends = psi.knots

@@ -160,10 +160,18 @@ def distance_profile(row: np.ndarray, *weights: np.ndarray) -> tuple[np.ndarray,
     """The distinct distances r_0 < r_1 < ... of one centre's ``row`` and, per
     weight vector, the weight of each closed ball {d <= r_k} summed in sorted
     order; the open ball B(x, r) is the closed one at the largest r_k < r."""
-    order = np.argsort(row)
-    d = row[order]
-    last = np.r_[d[1:] != d[:-1], True]  # the last of each run of equal distances
-    return (d[last], *(np.cumsum(w[order])[last] for w in weights))
+    d, last, *balls = sorted_profiles(row, *weights)
+    return (d[last], *(b[last] for b in balls))
+
+
+def sorted_profiles(rows: np.ndarray, *weights: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Each distance row of ``rows`` sorted (a row of a block sorts as it would
+    alone), the mask of the last of each run of equal distances and, per weight
+    vector, the weight of the closed ball {d <= d_j} at each sorted position."""
+    order = np.argsort(rows, axis=-1)
+    d = np.take_along_axis(rows, order, axis=-1)
+    last = np.concatenate([d[..., 1:] != d[..., :-1], np.ones_like(d[..., :1], bool)], axis=-1)
+    return (d, last, *(np.cumsum(w[order], axis=-1) for w in weights))
 
 
 def doubling_constant(space: FiniteMetricMeasureSpace) -> float:

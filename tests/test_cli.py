@@ -336,10 +336,17 @@ def test_replay_rejects_nonpositive_edge_lengths(lengths, tmp_path, capsys):
      "epsilon must be positive"),
     (["heat", "--graph", "{path}", "--times", "nan,1"], "times must be finite and positive"),
     (["heat", "--graph", "{path}", "--times", "inf,1"], "times must be finite and positive"),
+    (["scale", "phi", "--psi", "power:2", "--s", "inf"], "phi is defined for finite s > 0"),
+    (["scale", "phi", "--psi", "power:2", "--s", "nan"], "phi is defined for finite s > 0"),
+    (["dirichlet", "energy", "--graph", "{path}", "--f", "nan" + ",1" * 10],
+     "energy requires finite --f values"),
+    (["dirichlet", "energy", "--graph", "{path}", "--f", "1" + ",1" * 9 + ",inf"],
+     "energy requires finite --f values"),
 ])
 def test_nan_and_infinite_inputs_are_errors(argv, message, line_space, path_csv, capsys):
     # NaN compares False: net certified every point, heat wrote NaN diagonals,
-    # and chain, replay and heat at inf failed with unrelated messages
+    # and chain, replay and heat at inf failed with unrelated messages; phi at
+    # s = inf printed 0 and the energy of a NaN --f printed "NaN", both exit 0
     assert main([a.format(line=line_space, path=path_csv) for a in argv]) == 1
     assert message in capsys.readouterr().err
 

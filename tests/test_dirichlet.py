@@ -84,6 +84,9 @@ def test_truncated_maximal_hand_value():
     assert df.truncated_maximal(space, nu, 0, 10.0) == pytest.approx(1.0 / 3.0)
     # truncation below the distance to the mass
     assert df.truncated_maximal(space, nu, 0, 1.5) == pytest.approx(0.0)
+    for R in (0.0, -1.0, float("nan")):  # a NaN radius used to admit every ball
+        with pytest.raises(df.DirichletFormError, match="R must be positive"):
+            df.truncated_maximal(space, nu, 0, R)
 
 
 def _truncated_maximal_reference(space, nu, x, R):
@@ -105,10 +108,12 @@ def test_truncated_maximal_equals_reference_on_tied_distances(seed, level):
     form = df.GraphDirichletForm(gasket.conductances, rng.uniform(0.1, 3.0, gasket.n))
     space = sp.space_from_graph(form)
     nu = rng.uniform(0.0, 2.0, gasket.n)
-    for x in rng.integers(0, gasket.n, 4).tolist():
-        for R in (0.5, 1.0, 2.5, 4.0, 100.0):
-            assert df.truncated_maximal(space, nu, x, R) == _truncated_maximal_reference(
-                space, nu, x, R)
+    centres = rng.integers(0, gasket.n, 4)
+    for R in (0.5, 1.0, 2.5, 4.0, 100.0):
+        expected = [_truncated_maximal_reference(space, nu, x, R) for x in centres.tolist()]
+        assert [df.truncated_maximal(space, nu, x, R) for x in centres.tolist()] == expected
+        # an array of centres gives the same values, one per centre
+        assert df.truncated_maximal(space, nu, centres, R).tolist() == expected
 
 
 def test_poincare_constant_single_edge():
@@ -332,3 +337,6 @@ def test_energies_on_the_cached_edge_list_equal_tocoo_per_call(n, seed):
         assert df.energy(form, f) == energy_by_tocoo(form, f)
         assert np.array_equal(df.energy_measure(form, f).density,
                               energy_density_by_tocoo(form, f))
+    # a (k, n) array gives each row's energy, bit for bit
+    F = rng.normal(size=(7, n)) * rng.uniform(0, 1e3, (7, 1))
+    assert df.energy(form, F).tolist() == [energy_by_tocoo(form, f) for f in F]

@@ -1,4 +1,5 @@
 import numpy as np
+import scipy.sparse as sps
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -94,22 +95,27 @@ def test_partition_of_unity_properties():
     net = nt.build_net(space, 4.0)
     pou = nt.build_partition(space, net)
     pou.verify()
-    total = sum(pou.psi_values.values())
+    total = sum(pou.psi)
     assert np.abs(total - 1.0).max() <= 1e-12
-    for z, psi_z in pou.psi_values.items():
+    for z, psi_z in zip(sorted(net.members), pou.psi):
         assert psi_z[z] == pytest.approx(1.0)
         assert (psi_z >= 0).all() and (psi_z <= 1).all()
 
 
-def loop_disjointness_error(pou):
-    """The pairwise (z, w) loop PartitionOfUnity.verify used to run, kept as
-    its reference: the message for the first psi_w (w != z) that is nonzero
-    on B(z, eps/4), or None."""
-    eps = pou.net.epsilon
-    for z in pou.psi_values:
-        dz = pou.net.space.dist[z]
-        for w, psi_w in pou.psi_values.items():
-            if w != z and (psi_w[dz < eps / 4] != 0).any():
+def loop_verify_error(net, psis):
+    """The member loops PartitionOfUnity.verify used to run on {z: psi_z},
+    kept as its reference: the first NetError message, or None."""
+    eps, dist = net.epsilon, net.space.dist
+    if np.abs(sum(psis.values()) - 1.0).max() > 1e-12:
+        return "partition does not sum to one"
+    for z, psi_z in psis.items():
+        if (np.abs(psi_z[dist[z] < eps / 4] - 1.0) > 0).any():
+            return f"psi_{z} is not identically 1 on B(z, eps/4)"
+        if (psi_z[dist[z] >= 5 * eps / 4] != 0).any():
+            return f"psi_{z} does not vanish outside B(z, 5 eps/4)"
+    for z in psis:
+        for w, psi_w in psis.items():
+            if w != z and (psi_w[dist[z] < eps / 4] != 0).any():
                 return f"psi_{w} does not vanish on B({z}, eps/4)"
     return None
 
@@ -119,25 +125,27 @@ def test_partition_disjointness_matches_pairwise_loop(graph, eps):
     form = path_graph(41) if graph == "path-41" else sierpinski_gasket_graph(4)
     space = sp.space_from_graph(form)
     pou = nt.build_partition(space, nt.build_net(space, eps))
-    assert loop_disjointness_error(pou) is None
+    members = sorted(pou.net.members)
+    assert loop_verify_error(pou.net, dict(zip(members, pou.psi))) is None
     rng = np.random.default_rng(5)
     tampered = 0
     for trial in range(40):
-        psis = {z: psi.copy() for z, psi in pou.psi_values.items()}
+        psi = pou.psi.copy()
         for _ in range(1 + trial % 2):
-            z = int(rng.choice(list(psis)))
+            z = int(rng.choice(members))
             v = int(rng.choice(np.flatnonzero(space.dist[z] < eps / 4)))
             # +1/2 and -1/2 on two members whose support reaches v keep the
             # sum, the plateaus and the supports intact
-            near = [w for w in psis if w != z and space.dist[w, v] < 5 * eps / 4]
+            near = [i for i, w in enumerate(members)
+                    if w != z and space.dist[w, v] < 5 * eps / 4]
             if len(near) < 2:
                 continue
-            w1, w2 = rng.choice(near, 2, replace=False)
-            psis[int(w1)][v] += 0.5
-            psis[int(w2)][v] -= 0.5
-        bad = nt.PartitionOfUnity(net=pou.net, form=form, psi_values=psis,
+            i1, i2 = rng.choice(near, 2, replace=False)
+            psi[i1, v] += 0.5
+            psi[i2, v] -= 0.5
+        bad = nt.PartitionOfUnity(net=pou.net, form=form, psi=psi,
                                   energies=pou.energies)
-        expected = loop_disjointness_error(bad)
+        expected = loop_verify_error(pou.net, dict(zip(members, psi)))
         if expected is None:
             bad.verify()
             continue
@@ -239,3 +247,179 @@ def test_replay_computes_the_energy_measure_once(monkeypatch):
     assert len(calls) == 1
     # the record built from the member maxima is the stand-alone check's
     assert rep.two_point == df.two_point_check(space, power_scale(2.0), rep.u, 0, 40, 80.0)
+
+
+# The member loops the proof replay used to run, kept as its reference.  The
+# array passes must reproduce them bit for bit, so every comparison is exact.
+
+def loop_energy(form, f):
+    w = form.edges
+    return 0.5 * float(np.sum(w.data * (f[w.row] - f[w.col]) ** 2))
+
+
+def loop_truncated_maximal(space, nu, x, R):
+    order = np.argsort(space.dist[x])
+    d = space.dist[x][order]
+    last = np.r_[d[1:] != d[:-1], True]
+    k = np.searchsorted(d[last], R)
+    return float(np.max((np.cumsum(nu[order])[last] / np.cumsum(space.measure[order])[last])[:k]))
+
+
+def loop_voronoi(net):
+    mem = np.asarray(sorted(net.members))
+    owner = mem[np.argmin(net.space.dist[:, mem], axis=1)]
+    for z in mem:
+        cell = owner == z
+        dz = net.space.dist[z]
+        if (cell & (dz > net.epsilon)).any():
+            raise nt.NetError(f"Voronoi cell of {z} leaves the closed eps-ball")
+        if ((dz < net.epsilon / 2) & ~cell).any():
+            raise nt.NetError(f"Voronoi cell of {z} misses part of B(z, eps/2)")
+    return owner
+
+
+def loop_partition(space, net):
+    """The per-member bumps, dict sum and energies of build_partition."""
+    eps = net.epsilon
+    phis = {}
+    for z in sorted(net.members):
+        d_cell = space.dist[:, np.flatnonzero(net.voronoi == z)].min(axis=1)
+        phis[z] = np.clip(1.0 - d_cell / (eps / 4.0), 0.0, 1.0)
+    denom = sum(phis.values())
+    psis = {z: phi / denom for z, phi in phis.items()}
+    assert loop_verify_error(net, psis) is None
+    return psis, {z: loop_energy(space.graph, psi) for z, psi in psis.items()}
+
+
+def loop_energy_report(space, net, energies, psi_scale):
+    eps = net.epsilon
+    rows, worst = [], 0.0
+    for z, E in sorted(energies.items()):
+        vol = sp.ball_volume(space, z, eps)
+        bound_core = vol / psi_scale(eps)
+        ratio = E / bound_core if bound_core > 0 else float("inf")
+        rows.append({"member": int(z), "energy": E, "volume": vol, "ratio": ratio})
+        worst = max(worst, ratio)
+    return {"constant": worst, "table": rows}
+
+
+def loop_replay(space, psi_scale, x, y, epsilon):
+    """proof_replay as the member loops computed it: the report fields, the
+    partition rows and energies by member, and the energy report."""
+    d_xy = float(space.dist[x, y])
+    hops, _ = ch.ProximityIndex.build(space, epsilon).shortest_paths(x, weighted=False)
+    eps_prime = epsilon / 3.0
+    net = nt.build_net(space, eps_prime, include={x, y})
+    assert np.array_equal(net.voronoi, loop_voronoi(net))
+    u_hat = {z: int(hops[z]) for z in net.members}
+    psis, energies = loop_partition(space, net)
+    u = sum(u_hat[z] * psis[z] for z in net.members)
+    gamma = df.energy_measure(space.graph, u).density
+    for z in sorted(net.members):
+        plateau = space.dist[z] < eps_prime / 4
+        assert np.allclose(u[plateau], u_hat[z], rtol=0, atol=1e-9)
+    R = 2.0 * d_xy
+    M = {z: loop_truncated_maximal(space, gamma, z, R) for z in sorted(net.members)}
+    n_eps_xy = u_hat[y]
+    recovered = (n_eps_xy ** 2) * psi_scale(epsilon) / psi_scale(d_xy)
+    report = loop_energy_report(space, net, energies, psi_scale)
+    fields = dict(
+        x=x, y=y, epsilon=epsilon, eps_prime=eps_prime, n_eps_xy=n_eps_xy, u_hat=u_hat,
+        lipschitz_ok=True, max_maximal_function=max(M.values()),
+        maximal_constant=psi_scale(epsilon) * max(M.values()),
+        two_point=df._two_point(u, x, y, psi_scale(R), M[x], M[y]),
+        recovered_constant=recovered,
+        recovered_ok=(n_eps_xy ** 2
+                      <= recovered * psi_scale(d_xy) / psi_scale(epsilon) * (1 + 1e-12)),
+        partition_constant=report["constant"], u=u)
+    return fields, psis, energies, report
+
+
+def replay_graph(kind, size, seed, weighted):
+    """A path, cycle or gasket, relabelled at random, with random conductances,
+    vertex masses and edge lengths in [0.5, 1.4) when ``weighted``."""
+    rng = np.random.default_rng(seed)
+    form = {"path": lambda: path_graph(size), "cycle": lambda: df.cycle_graph(size),
+            "gasket": lambda: sierpinski_gasket_graph(size)}[kind]()
+    perm = rng.permutation(form.n)
+    w = sps.triu(form.conductances).tocoo()
+    c = rng.uniform(0.2, 3.0, w.nnz) if weighted else w.data
+    i, j = perm[w.row], perm[w.col]
+    ln = rng.uniform(0.5, 1.4, w.nnz) if weighted else np.ones(w.nnz)
+    W, L = (sps.coo_matrix((np.r_[v, v], (np.r_[i, j], np.r_[j, i])), shape=w.shape).tocsr()
+            for v in (c, ln))
+    m = np.empty(form.n)
+    m[perm] = rng.uniform(0.1, 5.0, form.n) if weighted else form.vertex_measure
+    return df.GraphDirichletForm(W, m, L), int(perm[0])
+
+
+@given(st.sampled_from(["path", "cycle", "gasket"]), st.integers(0, 10 ** 6),
+       st.booleans(), st.sampled_from([1.5, 2.0, 3.0, 4.0, 5.0, 7.5]))
+@example("path", 0, False, 30.0)  # path-1001, where a 2-D axis=1 sum of the energies differs
+@settings(max_examples=60, deadline=None)
+def test_proof_replay_equals_the_member_loops(kind, seed, weighted, eps):
+    size = {"path": 1001 if eps == 30.0 else 8 + seed % 50, "cycle": 8 + seed % 50,
+            "gasket": 3 + seed % 2}[kind]
+    form, x = replay_graph(kind, size, seed, weighted)
+    space = sp.space_from_graph(form)
+    y = int(np.argmax(space.dist[x]))
+    if eps > space.dist[x, y]:
+        return
+    psi = power_scale(2.0 + seed % 3 / 4)
+    rep = nt.proof_replay(space, psi, x, y, eps)
+    fields, psis, energies, report = loop_replay(space, psi, x, y, eps)
+    for name, expected in fields.items():
+        got = getattr(rep, name)
+        if isinstance(expected, np.ndarray):
+            assert np.array_equal(got, expected), name
+        else:
+            assert got == expected and type(got) is type(expected), name
+    net = nt.build_net(space, eps / 3.0, include={x, y})
+    pou = nt.build_partition(space, net)
+    assert np.array_equal(pou.psi, np.array(list(psis.values())))
+    assert np.array_equal(pou.energies, list(energies.values()))
+    assert nt.partition_energy_report(space, pou, psi) == report
+
+
+@given(st.sampled_from(["path", "gasket"]), st.integers(0, 10 ** 6),
+       st.sampled_from([0.5, 1.0, 2.0, 3.0]), st.integers(1, 8))
+@settings(max_examples=60, deadline=None)
+def test_voronoi_certificate_raises_the_member_loops_message(kind, seed, eps, k):
+    # arbitrary member sets: most are no nets, so the certificate fails
+    form, _ = replay_graph(kind, 20 if kind == "path" else 3, seed, True)
+    space = sp.space_from_graph(form)
+    members = np.random.default_rng(seed).choice(space.n, min(k, space.n), replace=False)
+    net = nt.EpsilonNet(space=space, epsilon=eps, members=members.tolist())
+    assert net_outcome(lambda *a: nt.voronoi_assign(net).tolist(), space, eps, None) \
+        == net_outcome(lambda *a: loop_voronoi(net).tolist(), space, eps, None)
+
+
+@given(st.integers(0, 10 ** 6), st.integers(1, 3),
+       st.sampled_from([0.5, -0.25, 2 ** -52, 1e-300, 0.0, np.nan]))
+@example(59, 3, 0.5)  # unit lengths at eps 4: a change at distance exactly eps/4
+@settings(max_examples=100, deadline=None)
+def test_partition_verify_raises_the_member_loops_message(seed, changes, delta):
+    # +delta on psi_z and -delta on another psi_w at a point v near z keep
+    # most sums, so the plateau, support and disjointness checks are reached
+    form, _ = replay_graph("gasket", 4, seed, seed // 4 % 2)
+    space = sp.space_from_graph(form)
+    eps = [1.0, 2.0, 3.0, 4.0][seed % 4]  # at 4, distances of eps/4 occur
+    net = nt.build_net(space, eps)
+    pou = nt.build_partition(space, net)
+    members = sorted(net.members)
+    rng = np.random.default_rng(seed)
+    psi = pou.psi.copy()
+    for _ in range(changes):
+        i, j = rng.choice(len(members), 2, replace=False)
+        near = space.dist[members[i]] <= eps * rng.choice([0.25, 1.25, 3.0])
+        v = rng.choice(np.flatnonzero(near))
+        psi[i, v] += delta
+        psi[j, v] -= delta
+    bad = nt.PartitionOfUnity(net=net, form=form, psi=psi, energies=pou.energies)
+    expected = loop_verify_error(net, dict(zip(members, psi)))
+    if expected is None:
+        bad.verify()
+    else:
+        with pytest.raises(nt.NetError) as err:
+            bad.verify()
+        assert str(err.value) == expected
