@@ -219,7 +219,10 @@ def chain_condition_estimate(space: FiniteMetricMeasureSpace, epsilons,
     """K_hat = max over eps and pairs of d_eps(x, y) / d(x, y).
 
     Disconnection at some eps is reported as an infinite K_hat together with
-    the offending scale and the first disconnected pair.
+    the offending scale and the first disconnected pair.  An eps at or above
+    the smallest eps found connected is skipped, exactly: its edge set holds
+    that one's, and Dijkstra's float distance is the least float path sum, so
+    no d_eps and no ratio grows, and none can beat the K_hat already found.
     """
     if pairs is None:
         pairs = np.transpose(np.triu_indices(space.n, 1))
@@ -229,13 +232,17 @@ def chain_condition_estimate(space: FiniteMetricMeasureSpace, epsilons,
     d = space.dist[xs, ys]
     K_hat = 1.0
     argmax = None
+    connected = math.inf  # the smallest eps found connected
     for eps in epsilons:
+        if eps >= connected:
+            continue
         index = ProximityIndex.build(space, eps)
         ratio = index.shortest_paths(sources, weighted=True)[0][rows, ys] / d
         cut = np.flatnonzero(np.isinf(ratio))
         if cut.size:
             return {"K_hat": math.inf, "disconnected_at": float(eps),
                     "argmax": (float(eps), int(xs[cut[0]]), int(ys[cut[0]]))}
+        connected = eps
         if ratio.size and ratio.max() > K_hat:
             k = int(np.argmax(ratio))
             K_hat = float(ratio[k])
@@ -243,14 +250,16 @@ def chain_condition_estimate(space: FiniteMetricMeasureSpace, epsilons,
     return {"K_hat": K_hat, "disconnected_at": None, "argmax": argmax}
 
 
-def _d_eps_steps(space: FiniteMetricMeasureSpace, breaks, x: int, y: int):
+def _d_eps_steps(space: FiniteMetricMeasureSpace, breaks, x: int, y: int,
+                 below=lambda j, d_eps: j - 1):
     """Yield (j, k, d_eps) from the top down: d_eps(x, y) is that float on the
     intervals j..k of ``breaks`` (see ``d_eps_step_function``); x != y.
 
     The optimal witness at interval k has longest hop breaks[j]; each edge set
     {d <= breaks[i]}, j <= i <= k, keeps that witness and adds no path, so
-    d_eps is the same float on all of them and the walk jumps to j - 1.  It
-    stops at the first disconnected interval: the ones below are too.
+    d_eps is the same float on all of them and the walk goes on at
+    ``below(j, d_eps)``, j - 1 unless the caller skips intervals.  It stops at
+    the first disconnected interval: the ones below are too.
     """
     k, index = breaks.size - 1, None  # one build at the top break, then narrowings
     while k >= 0:
@@ -261,7 +270,7 @@ def _d_eps_steps(space: FiniteMetricMeasureSpace, breaks, x: int, y: int):
             return
         j = int(np.searchsorted(breaks, space.dist[witness[:-1], witness[1:]].max()))
         yield j, k, d_eps
-        k = j - 1
+        k = below(j, d_eps)
 
 
 def d_eps_step_function(space: FiniteMetricMeasureSpace, x: int, y: int):
@@ -271,7 +280,8 @@ def d_eps_step_function(space: FiniteMetricMeasureSpace, x: int, y: int):
     (breaks[k], breaks[k+1]] and values[-1] for eps > breaks[-1].  The breaks
     are the distinct positive pairwise distances, where proximity edges
     appear, so on interval k the edge set is {d <= breaks[k]}.  The values
-    come from one Dijkstra call per step of d_eps, walked from the top.
+    come from Dijkstra calls walked from the top; a float tie can split a step
+    of d_eps into several (a tied witness's longest hop need not be least).
     """
     check_ids(space, x, y)
     breaks = space.critical_radii()
@@ -294,8 +304,10 @@ def epsilon_of_t(space: FiniteMetricMeasureSpace, psi, x: int, y: int,
     answer is hi) or F(lo) < t (bisected inside).  The steps are walked from
     the top and the walk stops at the answer.  The cap is implicit:
     breaks[-1] is the diameter, so the interval above it is never scanned.
-    psi is called once per step on all its breaks, so a tabulated psi must
-    cover every break of the steps down to the one holding the answer.
+    G = psi/e is computed once on the merged points.  Below a step of value L,
+    d_eps >= L in floats (fewer edges never shorten Dijkstra's least float
+    path sum), so F >= G L, and the walk skips to the top interval with a point
+    where G L <= t.  A tabulated psi must cover the points of each step reached.
     """
     if not t > 0:
         raise ChainError("t must be positive")
@@ -304,17 +316,28 @@ def epsilon_of_t(space: FiniteMetricMeasureSpace, psi, x: int, y: int,
     check_ids(space, x, y)
     breaks = space.critical_radii()
     knots = psi.knots
-    for j, k, L in _d_eps_steps(space, breaks, x, y):
-        e = breaks[j:k + 2]  # interval i of the step is (e[i], e[i + 1]]
-        e = np.union1d(e, knots[(knots > e[0]) & (knots < e[-1])])
-        F = psi(e) / e * L
+    e = np.union1d(breaks, knots[(knots > breaks[0]) & (knots < breaks[-1])])
+    at = np.append(np.searchsorted(e, breaks), e.size - 1)  # e[at[i]] = breaks[i]
+    G = np.full(e.size, math.nan)  # NaN below a table's range: a step there raises
+    ok = e >= psi.pieces[0][0]  # a table's first r, 0 for power laws
+    G[ok] = psi(e[ok]) / e[ok]
+
+    def below(j, L):  # the top interval under j with a point where G L <= t or G is NaN
+        m = np.flatnonzero(~(G[:at[j] + 1] * L > t))
+        return min(j - 1, int(np.searchsorted(at, m[-1], "right")) - 1) if m.size else -1
+
+    for j, k, L in _d_eps_steps(space, breaks, x, y, below):
+        s = slice(at[j], at[k + 1] + 1)
+        if np.isnan(G[s]).any():
+            psi(e[s])  # a table that misses a point of this step raises here
+        es, F = e[s], G[s] * L  # interval i of the step is (es[i], es[i + 1]]
         hit = np.flatnonzero((F[1:] <= t) | (F[:-1] < t))
         if not hit.size:
             continue
         i = hit[-1]
         if F[i + 1] <= t:
-            return float(e[i + 1])
-        a, b = e[i], e[i + 1]
+            return float(es[i + 1])
+        a, b = es[i], es[i + 1]
         for _ in range(200):
             mid = 0.5 * (a + b)
             if psi(mid) / mid * L <= t:

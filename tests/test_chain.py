@@ -11,7 +11,7 @@ import chainkit.chain as ch
 import chainkit.space as sp
 from chainkit.dirichlet import path_graph
 from chainkit.heat import sierpinski_gasket_graph
-from chainkit.scale import piecewise_scale, power_scale, tabulated_scale
+from chainkit.scale import ScaleError, piecewise_scale, power_scale, tabulated_scale
 
 
 def unit_line(n=11):
@@ -231,6 +231,96 @@ def test_chain_condition_estimate_disconnection():
     rep = ch.chain_condition_estimate(space, [0.5])
     assert math.isinf(rep["K_hat"])
     assert rep["disconnected_at"] == 0.5
+
+
+def reference_condition_estimate(space, epsilons, pairs=None):
+    """The loop chain_condition_estimate ran before it skipped scales, kept as
+    its reference: one all-pairs search per eps, in the given order."""
+    if pairs is None:
+        pairs = np.transpose(np.triu_indices(space.n, 1))
+    xs, ys = np.asarray(pairs, dtype=int).reshape(-1, 2).T
+    xs, ys = xs[xs != ys], ys[xs != ys]
+    sources, rows = np.unique(xs, return_inverse=True)
+    d = space.dist[xs, ys]
+    K_hat = 1.0
+    argmax = None
+    for eps in epsilons:
+        index = ch.ProximityIndex.build(space, eps)
+        ratio = index.shortest_paths(sources, weighted=True)[0][rows, ys] / d
+        cut = np.flatnonzero(np.isinf(ratio))
+        if cut.size:
+            return {"K_hat": math.inf, "disconnected_at": float(eps),
+                    "argmax": (float(eps), int(xs[cut[0]]), int(ys[cut[0]]))}
+        if ratio.size and ratio.max() > K_hat:
+            k = int(np.argmax(ratio))
+            K_hat = float(ratio[k])
+            argmax = (float(eps), int(xs[k]), int(ys[k]))
+    return {"K_hat": K_hat, "disconnected_at": None, "argmax": argmax}
+
+
+def drawn_space(kind, n, seed):
+    """A random euclidean or snowflake cloud, or a permuted integer lattice
+    (many tied distances), of n points."""
+    rng = np.random.default_rng(seed)
+    if kind == "lattice":
+        side = int(math.ceil(math.sqrt(n)))
+        grid = np.array([(i % side, i // side) for i in range(n)], dtype=float)
+        return sp.build_space({"type": "euclidean", "coords": grid[rng.permutation(n)].tolist()})
+    spec = {"type": kind, "coords": rng.uniform(0, 2, (n, 2)).tolist()}
+    if kind == "snowflake":
+        spec["beta"] = 3.0
+    return sp.build_space(spec)
+
+
+@given(st.sampled_from(["euclidean", "snowflake", "lattice"]), st.integers(2, 12),
+       st.integers(0, 10 ** 6), st.data())
+@settings(max_examples=150, deadline=None)
+def test_chain_condition_estimate_equals_the_full_loop(kind, n, seed, data):
+    # shuffled scales with repeats, on breaks (ties at exactly eps), just
+    # above them and between them, from below the smallest (disconnected) or
+    # from the top half of the breaks (mostly connected)
+    space = drawn_space(kind, n, seed)
+    radii = space.critical_radii()
+    radii = radii[data.draw(st.sampled_from([0, radii.size // 2])):]
+    scales = st.sampled_from(radii.tolist()) | st.sampled_from(
+        np.nextafter(radii, np.inf).tolist()) | st.floats(0.2 * radii[0], 1.1 * radii[-1])
+    eps = data.draw(st.lists(scales, max_size=8))
+    eps = data.draw(st.permutations(eps + data.draw(st.lists(st.sampled_from(eps or [1.0]),
+                                                              max_size=3))))
+    ids = st.integers(0, n - 1)
+    pairs = data.draw(st.none() | st.lists(st.tuples(ids, ids), min_size=1, max_size=20))
+    assert (ch.chain_condition_estimate(space, eps, pairs)
+            == reference_condition_estimate(space, eps, pairs))
+
+
+def counted_searches(monkeypatch):
+    """The epsilons of every ProximityIndex.shortest_paths call from now on."""
+    calls, search = [], ch.ProximityIndex.shortest_paths
+
+    def counted(self, sources, weighted=True):
+        calls.append(self.epsilon)
+        return search(self, sources, weighted)
+
+    monkeypatch.setattr(ch.ProximityIndex, "shortest_paths", counted)
+    return calls
+
+
+def test_chain_condition_estimate_searches_only_below_the_smallest_connected_eps(monkeypatch):
+    space = snowflake_grid(3.0, 11)  # hops of 0.1^(2/3) = 0.215: every eps connects
+    grid = [0.25, 0.5, 1.0, 1.5]
+    calls = counted_searches(monkeypatch)
+    up = ch.chain_condition_estimate(space, grid)
+    assert calls == [0.25]
+    calls.clear()
+    down = ch.chain_condition_estimate(space, grid[::-1])
+    assert calls == grid[::-1]
+    assert up["K_hat"] == down["K_hat"] > 1.0
+    assert up == reference_condition_estimate(space, grid)
+    assert down == reference_condition_estimate(space, grid[::-1])
+    calls.clear()
+    mixed = [0.5, 1.0, 0.25, 0.3, 1.5, 0.25]  # skipped once the smallest so far connects
+    assert ch.chain_condition_estimate(space, mixed) == reference_condition_estimate(space, mixed)
+    assert calls[:2] == [0.5, 0.25] and len(calls) == 2 + len(mixed)
 
 
 def reference_edges(space, eps):
@@ -525,16 +615,7 @@ def eot_times(space, psi, x, y, data):
        st.integers(0, 10 ** 6), st.sampled_from(sorted(PSIS)), st.data())
 @settings(max_examples=150, deadline=None)
 def test_epsilon_of_t_matches_interval_scan(kind, n, seed, psi_name, data):
-    rng = np.random.default_rng(seed)
-    if kind == "lattice":  # permuted integer grid: many tied distances
-        side = int(math.ceil(math.sqrt(n)))
-        grid = np.array([(i % side, i // side) for i in range(n)], dtype=float)
-        spec = {"type": "euclidean", "coords": grid[rng.permutation(n)].tolist()}
-    else:
-        spec = {"type": kind, "coords": rng.uniform(0, 2, (n, 2)).tolist()}
-        if kind == "snowflake":
-            spec["beta"] = 3.0
-    space = sp.build_space(spec)
+    space = drawn_space(kind, n, seed)
     psi = PSIS[psi_name]
     x = data.draw(st.integers(0, n - 1))
     y = data.draw(st.integers(0, n - 1).filter(lambda v: v != x))
@@ -562,6 +643,86 @@ def test_epsilon_of_t_matches_interval_scan_on_resistance_gasket():
         for t in (at_lo, at_lo * 1.37, at_lo * 1e-3):
             assert (eot_outcome(ch.epsilon_of_t, space, psi, 0, y, t)
                     == eot_outcome(reference_epsilon_of_t, space, psi, 0, y, t))
+
+
+def full_walk_epsilon_of_t(space, psi, x, y, t):
+    """epsilon_of_t before it skipped intervals, kept as its reference: every
+    step of d_eps from the top, psi called on each step's merged points."""
+    if not t > 0:
+        raise ch.ChainError("t must be positive")
+    if x == y:
+        raise ch.ChainError("epsilon_of_t requires x != y")
+    sp.check_ids(space, x, y)
+    breaks = space.critical_radii()
+    knots = psi.knots
+    for j, k, L in ch._d_eps_steps(space, breaks, x, y):
+        e = breaks[j:k + 2]  # interval i of the step is (e[i], e[i + 1]]
+        e = np.union1d(e, knots[(knots > e[0]) & (knots < e[-1])])
+        F = psi(e) / e * L
+        hit = np.flatnonzero((F[1:] <= t) | (F[:-1] < t))
+        if not hit.size:
+            continue
+        i = hit[-1]
+        if F[i + 1] <= t:
+            return float(e[i + 1])
+        a, b = e[i], e[i + 1]
+        for _ in range(200):
+            mid = 0.5 * (a + b)
+            if psi(mid) / mid * L <= t:
+                a = mid
+            else:
+                b = mid
+            if b - a <= 1e-15 * max(1.0, b):
+                break
+        return float(a)
+    raise ch.ChainError("time below chain resolution: no eps satisfies the bound")
+
+
+def eot_result(fn, space, psi, x, y, t):
+    """The float, or the error's type and message."""
+    try:
+        return fn(space, psi, x, y, t)
+    except (ch.ChainError, ScaleError) as err:
+        return type(err).__name__, str(err)
+
+
+@given(st.sampled_from(["euclidean", "snowflake", "lattice"]), st.integers(2, 12),
+       st.integers(0, 10 ** 6), st.sampled_from(sorted(PSIS) + sorted(KNOTTED) + ["short"]),
+       st.data())
+@settings(max_examples=200, deadline=None)
+def test_epsilon_of_t_equals_the_full_walk(kind, n, seed, psi_name, data):
+    # "short" is r^2 tabulated from a point between breaks up: the walk must
+    # raise the table's range error exactly when it reaches a step below it
+    space = drawn_space(kind, n, seed)
+    x = data.draw(st.integers(0, n - 1))
+    y = data.draw(st.integers(0, n - 1).filter(lambda v: v != x))
+    if psi_name == "short":
+        breaks = space.critical_radii()
+        lo = breaks[data.draw(st.integers(0, breaks.size - 1))] * data.draw(st.floats(1.0, 1.5))
+        r = np.geomspace(lo, 1e3, 6)
+        psi, times_psi = tabulated_scale(r, r ** 2, 2.0, 2.0, 1.0), power_scale(2.0)
+    else:
+        psi = times_psi = {**PSIS, **KNOTTED}[psi_name]
+    times = eot_times(space, times_psi, x, y, data) + [data.draw(st.floats(1e-3, 1e3))]
+    for t in times:
+        assert (eot_result(ch.epsilon_of_t, space, psi, x, y, t)
+                == eot_result(full_walk_epsilon_of_t, space, psi, x, y, t))
+
+
+@pytest.mark.parametrize("seed", range(1, 11))
+def test_epsilon_of_t_on_a_permuted_line_searches_at_most_three_times(seed, monkeypatch):
+    # psi = r^2 and d_eps = d: t = e d (1 + 1e-6) is met just above e, and
+    # the full walk searches once per witness of the tie-broken Dijkstra
+    rng = np.random.default_rng(seed)
+    line = sp.build_space({"type": "euclidean",
+                           "coords": rng.permutation(np.arange(301.0)).tolist()})
+    x, y = (int(v) for v in rng.choice(301, size=2, replace=False))
+    e = float(np.geomspace(1.5, 300.0, 10)[rng.integers(2, 8)])
+    psi, t = power_scale(2.0), e * line.dist[x, y] * (1 + 1e-6)
+    calls = counted_searches(monkeypatch)
+    eps = ch.epsilon_of_t(line, psi, x, y, t)
+    assert len(calls) <= 3
+    assert eps == full_walk_epsilon_of_t(line, psi, x, y, t)
 
 
 @given(st.sampled_from(["euclidean", "snowflake"]), st.integers(2, 10),
