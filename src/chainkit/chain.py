@@ -166,6 +166,20 @@ def chain_sandwich_check(analysis: ChainAnalysis) -> bool:
     return not sandwich_violations(analysis.epsilon, analysis.d_eps, analysis.n_eps)
 
 
+def chain_sweep(space: FiniteMetricMeasureSpace, epsilons, xs, ys):
+    """Yield (eps, chains) per eps, where ``chains(weighted=True)`` reads d_eps
+    and ``chains(weighted=False)`` N_eps (inf if disconnected) of the pairs
+    (xs[k], ys[k]): one index per eps, one search per read from the distinct xs.
+    """
+    sources, rows = np.unique(xs, return_inverse=True)
+    for eps in epsilons:
+        index = ProximityIndex.build(space, eps)
+
+        def chains(weighted: bool = True, index=index):  # bound to this eps's index
+            return index.shortest_paths(sources, weighted=weighted)[0][rows, ys]
+        yield eps, chains
+
+
 def main_inequality_scan(space: FiniteMetricMeasureSpace, psi, pairs,
                          epsilons) -> dict:
     """Scan the ratio (d_eps^2/eps^2) / (psi(d)/psi(eps)) over pairs and scales.
@@ -175,16 +189,14 @@ def main_inequality_scan(space: FiniteMetricMeasureSpace, psi, pairs,
     vanishing functional whose trend is reported, not its limit).
     """
     xs, ys = np.asarray(pairs, dtype=int).reshape(-1, 2).T
-    sources, rows = np.unique(xs, return_inverse=True)
     d = space.dist[xs, ys]
     worst = 0.0
     argmax = None
     parts = [(np.empty(0, int),) * 2 + (np.empty(0),) * 4]  # x, y, eps, d, d_eps, ratio
     trend = []
     skipped = 0
-    for eps in epsilons:
-        index = ProximityIndex.build(space, eps)
-        d_eps = index.shortest_paths(sources, weighted=True)[0][rows, ys]
+    for eps, chains in chain_sweep(space, epsilons, xs, ys):
+        d_eps = chains()
         keep = np.flatnonzero((d >= eps) & np.isfinite(d_eps))
         skipped += xs.size - keep.size
         if not keep.size:
@@ -219,30 +231,32 @@ def chain_condition_estimate(space: FiniteMetricMeasureSpace, epsilons,
     """K_hat = max over eps and pairs of d_eps(x, y) / d(x, y).
 
     Disconnection at some eps is reported as an infinite K_hat together with
-    the offending scale and the first disconnected pair.  An eps at or above
-    the smallest eps found connected is skipped, exactly: its edge set holds
-    that one's, and Dijkstra's float distance is the least float path sum, so
-    no d_eps and no ratio grows, and none can beat the K_hat already found.
+    the offending scale and the first disconnected pair.  Only the strict
+    running minima of ``epsilons`` are searched, and a NaN or non-positive eps,
+    which raises.  This is exact: each eps searched before a return was
+    connected, a larger eps's edge set holds its edges, and Dijkstra's float
+    distance is the least float path sum, so no d_eps and no ratio grows there.
     """
     if pairs is None:
         pairs = np.transpose(np.triu_indices(space.n, 1))
     xs, ys = np.asarray(pairs, dtype=int).reshape(-1, 2).T
     xs, ys = xs[xs != ys], ys[xs != ys]
-    sources, rows = np.unique(xs, return_inverse=True)
     d = space.dist[xs, ys]
+
+    def running_minima(low=math.inf):
+        for eps in epsilons:
+            if not eps >= low:
+                low = eps
+                yield eps
+
     K_hat = 1.0
     argmax = None
-    connected = math.inf  # the smallest eps found connected
-    for eps in epsilons:
-        if eps >= connected:
-            continue
-        index = ProximityIndex.build(space, eps)
-        ratio = index.shortest_paths(sources, weighted=True)[0][rows, ys] / d
+    for eps, chains in chain_sweep(space, running_minima(), xs, ys):
+        ratio = chains() / d
         cut = np.flatnonzero(np.isinf(ratio))
         if cut.size:
             return {"K_hat": math.inf, "disconnected_at": float(eps),
                     "argmax": (float(eps), int(xs[cut[0]]), int(ys[cut[0]]))}
-        connected = eps
         if ratio.size and ratio.max() > K_hat:
             k = int(np.argmax(ratio))
             K_hat = float(ratio[k])

@@ -64,6 +64,9 @@ def build_parser() -> _Parser:
     parser.add_argument("--json-only", action="store_true",
                         help="suppress human-readable output")
     sub = parser.add_subparsers(dest="command", required=True)
+    graph = argparse.ArgumentParser(add_help=False)  # every command that reads a graph
+    graph.add_argument("--graph", required=True)
+    graph.add_argument("--vertices")
 
     p = sub.add_parser("chain", help="chain metrics and inequality scans")
     p.add_argument("--space", required=True)
@@ -81,9 +84,7 @@ def build_parser() -> _Parser:
     p.add_argument("--report")
     p.set_defaults(func=cmd_net)
 
-    p = sub.add_parser("replay", help="proof replay on a graph")
-    p.add_argument("--graph", required=True)
-    p.add_argument("--vertices")
+    p = sub.add_parser("replay", parents=[graph], help="proof replay on a graph")
     p.add_argument("--psi", default="power:2")
     p.add_argument("--x", required=True, type=int)
     p.add_argument("--y", required=True, type=int)
@@ -91,19 +92,17 @@ def build_parser() -> _Parser:
     p.add_argument("--report")
     p.set_defaults(func=cmd_replay)
 
-    p = sub.add_parser("dirichlet", help="capacity and energy computations")
-    p.add_argument("action", choices=["cap", "energy"])
-    p.add_argument("--graph", required=True)
-    p.add_argument("--vertices")
+    action = argparse.ArgumentParser(add_help=False)  # first, as config echoes in this order
+    action.add_argument("action", choices=["cap", "energy"])
+    p = sub.add_parser("dirichlet", parents=[action, graph],
+                       help="capacity and energy computations")
     p.add_argument("--A", type=_ints)
     p.add_argument("--B", type=_ints)
     p.add_argument("--f", type=_floats)
     p.add_argument("--report")
     p.set_defaults(func=cmd_dirichlet)
 
-    p = sub.add_parser("heat", help="heat kernel tables")
-    p.add_argument("--graph", required=True)
-    p.add_argument("--vertices")
+    p = sub.add_parser("heat", parents=[graph], help="heat kernel tables")
     p.add_argument("--times", required=True, type=_floats)
     p.add_argument("--out", help="CSV output path for the kernel matrices")
     p.add_argument("--report")

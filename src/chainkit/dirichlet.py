@@ -108,22 +108,18 @@ class GraphDirichletForm:
         return self.components()[0] == 1
 
 
-def path_graph(n: int, conductance: float = 1.0, measure: float = 1.0) -> GraphDirichletForm:
+def path_graph(n: int) -> GraphDirichletForm:
     i = np.arange(n - 1)
-    w = sp.coo_matrix(
-        (np.full(2 * (n - 1), conductance), (np.r_[i, i + 1], np.r_[i + 1, i])),
-        shape=(n, n),
-    ).tocsr()
-    return GraphDirichletForm(w, np.full(n, measure))
+    w = sp.coo_matrix((np.ones(2 * (n - 1)), (np.r_[i, i + 1], np.r_[i + 1, i])),
+                      shape=(n, n)).tocsr()
+    return GraphDirichletForm(w, np.ones(n))
 
 
-def cycle_graph(n: int, conductance: float = 1.0, measure: float = 1.0) -> GraphDirichletForm:
+def cycle_graph(n: int) -> GraphDirichletForm:
     i = np.arange(n)
     j = (i + 1) % n
-    w = sp.coo_matrix(
-        (np.full(2 * n, conductance), (np.r_[i, j], np.r_[j, i])), shape=(n, n)
-    ).tocsr()
-    return GraphDirichletForm(w, np.full(n, measure))
+    w = sp.coo_matrix((np.ones(2 * n), (np.r_[i, j], np.r_[j, i])), shape=(n, n)).tocsr()
+    return GraphDirichletForm(w, np.ones(n))
 
 
 def energy(form: GraphDirichletForm, f: np.ndarray):

@@ -321,32 +321,23 @@ def sierpinski_gasket_graph(level: int) -> GraphDirichletForm:
     """
     if not 0 <= level <= 8:
         raise HeatError("gasket level must lie in [0, 8]")
-    corners = [(0.0, 0.0), (float(2 ** level), 0.0),
-               (2 ** level / 2.0, 2 ** level * math.sqrt(3.0) / 2.0)]
-    key_of = {}
+    ids = {}  # integer lattice points: every midpoint below is exact
     edges = set()
-
-    def key(p):
-        k = (round(p[0] * 2) / 2.0, round(p[1] * 1e9) / 1e9)
-        if k not in key_of:
-            key_of[k] = len(key_of)
-        return key_of[k]
 
     def subdivide(a, b, c, depth):
         if depth == 0:
-            ia, ib, ic = key(a), key(b), key(c)
+            ia, ib, ic = (ids.setdefault(p, len(ids)) for p in (a, b, c))
             edges.update({frozenset((ia, ib)), frozenset((ib, ic)),
                           frozenset((ia, ic))})
             return
-        ab = ((a[0] + b[0]) / 2, (a[1] + b[1]) / 2)
-        bc = ((b[0] + c[0]) / 2, (b[1] + c[1]) / 2)
-        ca = ((c[0] + a[0]) / 2, (c[1] + a[1]) / 2)
+        ab, bc, ca = (((p[0] + q[0]) // 2, (p[1] + q[1]) // 2)
+                      for p, q in ((a, b), (b, c), (c, a)))
         subdivide(a, ab, ca, depth - 1)
         subdivide(ab, b, bc, depth - 1)
         subdivide(ca, bc, c, depth - 1)
 
-    subdivide(*corners, level)
-    n = len(key_of)
+    subdivide((0, 0), (2 ** level, 0), (0, 2 ** level), level)
+    n = len(ids)
     rows, cols = [], []
     for e in edges:
         i, j = tuple(e)

@@ -30,18 +30,15 @@ def suite_geodesic() -> dict:
                            "coords": np.arange(101.0).tolist()})
     graph_space = sp.space_from_graph(ht.sierpinski_gasket_graph(3))
     for label, space in (("unit-line-101", line), ("gasket-3-geodesic", graph_space)):
-        diam = space.diameter()
-        eps_grid = np.geomspace(1.5, diam, 10)
-        i, j = np.triu_indices(space.n, 1)
+        xs, ys = np.indices(space.dist.shape).reshape(2, -1)  # all ordered pairs
+        upper = xs < ys
         identity_ok = True
         sandwich_bad = 0
-        for eps in eps_grid:
-            index = ch.ProximityIndex.build(space, float(eps))
-            d_eps = index.shortest_paths(np.arange(space.n), weighted=True)[0]
-            hops = index.shortest_paths(np.arange(space.n), weighted=False)[0]
-            if not np.array_equal(d_eps, space.dist):
-                identity_ok = False
-            sandwich_bad += ch.sandwich_violations(float(eps), d_eps[i, j], hops[i, j])
+        for eps, chains in ch.chain_sweep(space, np.geomspace(1.5, space.diameter(), 10),
+                                          xs, ys):
+            d_eps, hops = chains(), chains(weighted=False)
+            identity_ok &= np.array_equal(d_eps, space.dist.ravel())
+            sandwich_bad += ch.sandwich_violations(float(eps), d_eps[upper], hops[upper])
         checks.append(_check(f"{label}: d_eps == d for 10 eps values", identity_ok))
         checks.append(_check(f"{label}: chain sandwich", sandwich_bad == 0,
                              violations=sandwich_bad))
@@ -54,22 +51,18 @@ def suite_snowflake() -> dict:
     space = sp.build_space({"type": "snowflake", "beta": beta,
                             "coords": np.linspace(0.0, 1.0, 101).tolist()})
     psi = power_scale(beta)
-    eps_grid = np.geomspace(0.05, 0.5, 10)
     i, j = np.triu_indices(space.n, 1)
     d = space.dist[i, j]
     checks = []
     ratios = []
     tested = 0
     sandwich_bad = 0
-    for eps in eps_grid:
-        eps = float(eps)
-        index = ch.ProximityIndex.build(space, eps)
-        d_eps = index.shortest_paths(np.arange(space.n), weighted=True)[0]
-        hops = index.shortest_paths(np.arange(space.n), weighted=False)[0]
-        sandwich_bad += ch.sandwich_violations(eps, d_eps[i, j], hops[i, j])
-        mask = (d >= 10 * eps) & np.isfinite(d_eps[i, j])
+    for eps, chains in ch.chain_sweep(space, np.geomspace(0.05, 0.5, 10).tolist(), i, j):
+        d_eps, hops = chains(), chains(weighted=False)
+        sandwich_bad += ch.sandwich_violations(eps, d_eps, hops)
+        mask = (d >= 10 * eps) & np.isfinite(d_eps)
         if mask.any():
-            r = (d_eps[i, j][mask] ** 2 / eps ** 2) / (psi(d[mask]) / psi(eps))
+            r = (d_eps[mask] ** 2 / eps ** 2) / (psi(d[mask]) / psi(eps))
             ratios.extend([float(r.min()), float(r.max())])
             tested += int(mask.sum())
     lo, hi = (min(ratios), max(ratios)) if ratios else (math.nan, math.nan)
@@ -102,13 +95,10 @@ def suite_gasket() -> dict:
         checks.append(_check(f"{label}: semigroup <= 1e-9", semi <= 1e-9, defect=semi))
         checks.append(_check(f"{label}: positivity up to roundoff", pos))
     gasket_space = sp.space_from_graph(ht.sierpinski_gasket_graph(4))
-    i, j = np.triu_indices(gasket_space.n, 1)
     sandwich_bad = 0
-    for eps in np.geomspace(1.5, gasket_space.diameter(), 5):
-        index = ch.ProximityIndex.build(gasket_space, float(eps))
-        d_eps = index.shortest_paths(np.arange(gasket_space.n), weighted=True)[0]
-        hops = index.shortest_paths(np.arange(gasket_space.n), weighted=False)[0]
-        sandwich_bad += ch.sandwich_violations(float(eps), d_eps[i, j], hops[i, j])
+    for eps, chains in ch.chain_sweep(gasket_space, np.geomspace(1.5, gasket_space.diameter(), 5),
+                                      *np.triu_indices(gasket_space.n, 1)):
+        sandwich_bad += ch.sandwich_violations(float(eps), chains(), chains(weighted=False))
     checks.append(_check("gasket-4 chain sandwich", sandwich_bad == 0,
                          violations=sandwich_bad))
     return {"suite": "gasket", "ok": all(c["ok"] for c in checks), "checks": checks}

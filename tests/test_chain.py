@@ -287,10 +287,21 @@ def test_chain_condition_estimate_equals_the_full_loop(kind, n, seed, data):
     eps = data.draw(st.lists(scales, max_size=8))
     eps = data.draw(st.permutations(eps + data.draw(st.lists(st.sampled_from(eps or [1.0]),
                                                               max_size=3))))
+    # at most one NaN, negative or zero eps mid-list: both raise there, unless
+    # a disconnected eps before it returns first
+    eps = data.draw(st.permutations(eps + data.draw(st.lists(
+        st.sampled_from([math.nan, -radii[0], 0.0]), max_size=1))))
     ids = st.integers(0, n - 1)
     pairs = data.draw(st.none() | st.lists(st.tuples(ids, ids), min_size=1, max_size=20))
-    assert (ch.chain_condition_estimate(space, eps, pairs)
-            == reference_condition_estimate(space, eps, pairs))
+    assert (condition_outcome(ch.chain_condition_estimate, space, iter(eps), pairs)
+            == condition_outcome(reference_condition_estimate, space, eps, pairs))
+
+
+def condition_outcome(fn, space, epsilons, pairs):
+    try:
+        return fn(space, epsilons, pairs)
+    except ch.ChainError as exc:
+        return "ChainError", str(exc)
 
 
 def counted_searches(monkeypatch):
@@ -321,6 +332,46 @@ def test_chain_condition_estimate_searches_only_below_the_smallest_connected_eps
     mixed = [0.5, 1.0, 0.25, 0.3, 1.5, 0.25]  # skipped once the smallest so far connects
     assert ch.chain_condition_estimate(space, mixed) == reference_condition_estimate(space, mixed)
     assert calls[:2] == [0.5, 0.25] and len(calls) == 2 + len(mixed)
+
+
+@given(st.sampled_from(["euclidean", "snowflake", "lattice"]), st.integers(2, 12),
+       st.integers(0, 10 ** 6), st.data())
+@settings(max_examples=100, deadline=None)
+def test_chain_sweep_reads_the_single_pair_chains(kind, n, seed, data):
+    space = drawn_space(kind, n, seed)
+    radii = space.critical_radii()
+    scales = st.sampled_from(radii.tolist()) | st.sampled_from(
+        np.nextafter(radii, np.inf).tolist()) | st.floats(0.2 * radii[0], 1.1 * radii[-1])
+    eps = data.draw(st.permutations(data.draw(st.lists(scales, min_size=1, max_size=6))))
+    few = st.integers(0, min(2, n - 1))  # sources that repeat
+    ids = st.integers(0, n - 1)
+    pairs = data.draw(st.lists(st.tuples(few | ids, ids), min_size=1, max_size=20))
+    xs, ys = np.array(pairs).T
+    sweep = list(ch.chain_sweep(space, eps, xs, ys))  # each reader keeps its own eps
+    assert [e for e, _ in sweep] == eps
+    for e, chains in sweep:
+        d_eps, hops = chains(), chains(weighted=False)
+        for k, (x, y) in enumerate(pairs):
+            assert d_eps[k] == ch.chain_metric(space, e, x, y)[0]
+            assert hops[k] == ch.min_chain_count(space, e, x, y)[0]
+
+
+@pytest.mark.parametrize("suite, builds, searches", [
+    ("geodesic", 20, 40), ("snowflake", 13, 23), ("gasket", 5, 10)])
+def test_each_suite_builds_and_searches_as_often_as_before(suite, builds, searches,
+                                                           monkeypatch):
+    from chainkit.suites import SUITES
+
+    built, build = [], ch.ProximityIndex.build.__func__
+
+    def counted(cls, space, epsilon):
+        built.append(epsilon)
+        return build(cls, space, epsilon)
+
+    monkeypatch.setattr(ch.ProximityIndex, "build", classmethod(counted))
+    calls = counted_searches(monkeypatch)
+    assert SUITES[suite]()["ok"]
+    assert (len(built), len(calls)) == (builds, searches)
 
 
 def reference_edges(space, eps):

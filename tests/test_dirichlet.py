@@ -139,7 +139,7 @@ def test_two_point_check_linear_function():
 
 
 def test_graph_csv_round_trip(tmp_path):
-    form = df.cycle_graph(7, conductance=2.0)
+    form = df.GraphDirichletForm(2.0 * df.cycle_graph(7).conductances, np.ones(7))
     path = tmp_path / "graph.csv"
     df.save_graph_csv(form, path)
     loaded = df.load_graph_csv(path)

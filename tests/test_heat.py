@@ -355,6 +355,50 @@ def test_gasket_counts():
         ht.sierpinski_gasket_graph(9)
 
 
+def float_gasket_reference(level):
+    """The gasket generator on an equilateral triangle with rounded float keys."""
+    corners = [(0.0, 0.0), (float(2 ** level), 0.0),
+               (2 ** level / 2.0, 2 ** level * math.sqrt(3.0) / 2.0)]
+    key_of = {}
+    edges = set()
+
+    def key(p):
+        k = (round(p[0] * 2) / 2.0, round(p[1] * 1e9) / 1e9)
+        if k not in key_of:
+            key_of[k] = len(key_of)
+        return key_of[k]
+
+    def subdivide(a, b, c, depth):
+        if depth == 0:
+            ia, ib, ic = key(a), key(b), key(c)
+            edges.update({frozenset((ia, ib)), frozenset((ib, ic)),
+                          frozenset((ia, ic))})
+            return
+        ab = ((a[0] + b[0]) / 2, (a[1] + b[1]) / 2)
+        bc = ((b[0] + c[0]) / 2, (b[1] + c[1]) / 2)
+        ca = ((c[0] + a[0]) / 2, (c[1] + a[1]) / 2)
+        subdivide(a, ab, ca, depth - 1)
+        subdivide(ab, b, bc, depth - 1)
+        subdivide(ca, bc, c, depth - 1)
+
+    subdivide(*corners, level)
+    n = len(key_of)
+    rows, cols = [], []
+    for e in edges:
+        i, j = tuple(e)
+        rows += [i, j]
+        cols += [j, i]
+    return sps.coo_matrix((np.ones(len(rows)), (rows, cols)), shape=(n, n)).tocsr()
+
+
+@pytest.mark.parametrize("level", range(8))
+def test_gasket_equals_the_float_construction(level):
+    got, ref = ht.sierpinski_gasket_graph(level).conductances, float_gasket_reference(level)
+    assert got.shape == ref.shape
+    for a, b in ((got.indptr, ref.indptr), (got.indices, ref.indices), (got.data, ref.data)):
+        assert np.array_equal(a, b)
+
+
 def test_gasket_corner_degrees():
     form = ht.sierpinski_gasket_graph(3)
     deg = np.asarray((form.conductances > 0).sum(axis=1)).ravel()
