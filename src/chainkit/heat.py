@@ -200,16 +200,7 @@ def sub_gaussian_fit(table: HeatKernelTable, dist: np.ndarray,
     if ds.size == 0 or ds.max() / ds.min() < 9.9:
         raise HeatError("fit requires pairs spanning >= 1 decade of distance")
 
-    # stage one: on-diagonal decay exponent
-    x_on = pairs[0][0]
-    pdiag = table.rows(x_on, times)[:, x_on]
-    usable = pdiag > pdiag.min() * (1 + 1e-12)
-    if usable.sum() >= 2:
-        slope_on = float(np.polyfit(np.log(times[usable]), np.log(pdiag[usable]), 1)[0])
-    else:
-        slope_on = 0.0
-
-    xs, ys = np.array(pairs).T  # xs[0] is x_on
+    xs, ys = np.array(pairs).T
     centres, cidx = np.unique(xs, return_inverse=True)
     profiles = [VolumeProfile(x, *distance_profile(dist[x], m)) for x in centres]
 
@@ -222,9 +213,16 @@ def sub_gaussian_fit(table: HeatKernelTable, dist: np.ndarray,
     K = np.empty((times.size, len(pairs)))
     V = np.empty((centres.size,) + ball_radii.shape)
     for c, x in enumerate(centres):
-        on = cidx == c
-        K[:, on] = table.rows(x, times)[:, ys[on]]
+        on, rows = cidx == c, table.rows(x, times)
+        K[:, on] = rows[:, ys[on]]
         V[c] = profiles[c].at(ball_radii)
+        if c == cidx[0]:
+            pdiag = rows[:, x]  # p_t(x, x) at the first pair's centre
+
+    # stage one: on-diagonal decay exponent
+    usable = pdiag > pdiag.min() * (1 + 1e-12)
+    slope_on = (float(np.polyfit(np.log(times[usable]), np.log(pdiag[usable]), 1)[0])
+                if usable.sum() >= 2 else 0.0)
 
     best = None
     per_beta = {}

@@ -36,18 +36,22 @@ class EpsilonNet:
     def certify(self) -> None:
         """Exhaustive separation and covering check."""
         mem = np.asarray(self.members)
-        sub = self.space.dist[np.ix_(mem, mem)]
-        off = sub[~np.eye(mem.size, dtype=bool)]
-        if off.size and off.min() < self.epsilon:
-            masked = np.where(np.eye(mem.size, dtype=bool), math.inf, sub)
-            i, j = divmod(int(np.argmin(masked)), mem.size)
-            raise NetError(
-                f"separation violated by members {mem[i]} and {mem[j]}"
-            )
-        nearest = self.space.dist[:, mem].min(axis=1)
+        i, j = close_pairs(self.space.dist, mem, self.epsilon)
+        if i.size:
+            raise NetError(f"separation violated by members {mem[i[0]]} and {mem[j[0]]}")
+        nearest = self.space.dist[mem].min(axis=0)  # member rows: dist is symmetric
         if (nearest >= self.epsilon).any():
-            p = int(np.argmax(nearest))
-            raise NetError(f"covering violated at point {p}")
+            raise NetError(f"covering violated at point {int(np.argmax(nearest))}")
+
+
+def close_pairs(dist: np.ndarray, ids, epsilon: float) -> np.ndarray:
+    """Positions (i, j), i < j, of the pairs of ids closer than epsilon, in
+    row-major order as the columns of a (2 x pairs) array; read from blocks
+    of rows of the (ids x ids) distances."""
+    ids = np.asarray(ids, dtype=int)
+    return np.concatenate([np.empty((0, 2), int)] + [
+        np.argwhere(np.triu(dist[np.ix_(ids[sl], ids)] < epsilon, sl.start + 1)) + (sl.start, 0)
+        for sl in df.row_blocks(ids.size, ids.size)]).T
 
 
 def build_net(space: FiniteMetricMeasureSpace, epsilon: float,
@@ -57,13 +61,11 @@ def build_net(space: FiniteMetricMeasureSpace, epsilon: float,
         raise NetError("epsilon must be positive")
     include = sorted(set(include)) if include else []
     check_ids(space, *include)
-    close = np.triu(space.dist[np.ix_(include, include)] < epsilon, 1)
-    if close.any():
-        a, b = (include[i] for i in np.argwhere(close)[0])
-        raise NetError(
-            f"include set violates separation: points {a} and {b} are at "
-            f"distance {space.dist[a, b]}"
-        )
+    i, j = close_pairs(space.dist, include, epsilon)
+    if i.size:
+        a, b = include[i[0]], include[j[0]]
+        raise NetError(f"include set violates separation: points {a} and {b} are at "
+                       f"distance {space.dist[a, b]}")
     members = list(include)
     covered = (space.dist[include] < epsilon).any(axis=0)
     for p in range(space.n):
@@ -93,7 +95,8 @@ def voronoi_assign(net: EpsilonNet) -> np.ndarray:
     """
     mem = np.asarray(sorted(net.members))
     dist, eps = net.space.dist, net.epsilon
-    owner = mem[np.argmin(dist[:, mem], axis=1)]  # argmin takes the first (smallest id) tie
+    near = dist[mem]  # member rows, as dist is symmetric
+    owner = mem[np.argmax(near == near.min(axis=0), axis=0)]  # the first (smallest id) tie
     for sl in df.row_blocks(mem.size, owner.size):
         d, cell = dist[mem[sl]], owner == mem[sl, None]
         _raise_first(mem[sl], {"Voronoi cell of {} leaves the closed eps-ball": cell & (d > eps),
@@ -233,10 +236,8 @@ def proof_replay(space: FiniteMetricMeasureSpace, psi_scale, x: int, y: int,
     u_hat = {z: int(hops[z]) for z in net.members}
 
     mem = np.asarray(sorted(net.members))
-    u_mem = hops[mem]
-    i, j = np.nonzero(space.dist[np.ix_(mem, mem)] < epsilon)
-    lipschitz_ok = not (np.abs(u_mem[i] - u_mem[j]) > 1).any()
-    if not lipschitz_ok:
+    i, j = close_pairs(space.dist, mem, epsilon)
+    if (np.abs(hops[mem[i]] - hops[mem[j]]) > 1).any():
         raise AssertionError(
             "unit-Lipschitz property of the chain count failed; "
             "this indicates a minimal-chain-count bug"
@@ -268,7 +269,7 @@ def proof_replay(space: FiniteMetricMeasureSpace, psi_scale, x: int, y: int,
 
     return ReplayReport(
         x=x, y=y, epsilon=epsilon, eps_prime=eps_prime, n_eps_xy=n_eps_xy,
-        u_hat=u_hat, lipschitz_ok=lipschitz_ok,
+        u_hat=u_hat, lipschitz_ok=True,
         max_maximal_function=max_M, maximal_constant=maximal_constant,
         two_point=two_point, recovered_constant=recovered_constant,
         recovered_ok=n_eps_xy ** 2 <= recovered_constant * psi_scale(d_xy) / psi_scale(epsilon) * (1 + 1e-12),

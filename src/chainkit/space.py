@@ -50,8 +50,7 @@ class FiniteMetricMeasureSpace:
             raise SpaceError("distance matrix must be symmetric")
         if np.diagonal(self.dist).any():
             raise SpaceError("distance matrix must have zero diagonal")
-        off = self.dist[~np.eye(n, dtype=bool)]
-        if n > 1 and (off <= 0).any():
+        if np.count_nonzero(self.dist <= 0) > n:  # the zero diagonal gives n
             raise SpaceError("off-diagonal distances must be positive")
 
     @property

@@ -82,6 +82,58 @@ def test_build_net_matches_member_loop(kind, n, seed, eps, include):
             == net_outcome(loop_net_members, space, eps, include))
 
 
+def close_pair_space(kind, n, seed):
+    """A path or gasket graph space, or a line of integer coordinates in random
+    order; on all three, distances tie with integer epsilons."""
+    if kind == "line":
+        coords = np.random.default_rng(seed).permutation(n).astype(float).tolist()
+        return sp.build_space({"type": "euclidean", "coords": coords})
+    return sp.space_from_graph(path_graph(n) if kind == "path" else sierpinski_gasket_graph(n % 4))
+
+
+def loop_certify_error(space, epsilon, members):
+    """The exhaustive pair loops of EpsilonNet.certify, kept as its reference:
+    the first close pair in member order, else the covering failure at the
+    point farthest from the members, else None."""
+    for a in range(len(members)):
+        for b in range(a + 1, len(members)):
+            if space.dist[members[a], members[b]] < epsilon:
+                return f"separation violated by members {members[a]} and {members[b]}"
+    nearest = [min(space.dist[p, z] for z in members) for p in range(space.n)]
+    if max(nearest) >= epsilon:
+        return f"covering violated at point {int(np.argmax(nearest))}"
+    return None
+
+
+@given(st.sampled_from(["path", "gasket", "line"]), st.integers(2, 30), st.integers(0, 10 ** 6),
+       st.sampled_from([0.5, 1.0, 2.0, 2.5, 3.0, 4.0]),
+       st.one_of(st.none(), st.lists(st.integers(0, 10 ** 6), min_size=1, max_size=12)),
+       st.integers(1, 64))
+@example("line", 11, 0, 2.0, None, 1 << 17)  # one block, a certified net
+@settings(max_examples=200, deadline=None)
+def test_close_pairs_and_certify_match_the_pair_loops(kind, n, seed, eps, picks, block):
+    # arbitrary member sets, repeats included (None: the greedy net, reversed);
+    # a small BLOCK_ENTRIES splits the member rows into several blocks
+    space = close_pair_space(kind, n, seed)
+    if picks is None:
+        members = nt.build_net(space, eps).members[::-1]
+    else:
+        members = [p % space.n for p in picks]
+    net = nt.EpsilonNet(space=space, epsilon=eps, members=members)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(df, "BLOCK_ENTRIES", block)
+        i, j = nt.close_pairs(space.dist, members, eps)
+        try:
+            net.certify()
+            error = None
+        except nt.NetError as err:
+            error = str(err)
+    assert list(zip(i.tolist(), j.tolist())) == [
+        (a, b) for a in range(len(members)) for b in range(a + 1, len(members))
+        if space.dist[members[a], members[b]] < eps]
+    assert error == loop_certify_error(space, eps, members)
+
+
 def test_voronoi_ties_to_smallest_id():
     space = unit_line(5)
     net = nt.build_net(space, 2.0)  # members 0, 2, 4

@@ -391,16 +391,20 @@ def ref_golden_max(f, lo, hi):
     return max((fc, math.exp(c)), (fd, math.exp(d)))
 
 
-def refined_max(f, r):
+def refined_max(f, r, base):
     """Largest f on the sorted points r, each local maximum refined by four
-    rounds of 64 points between its grid neighbours; returns (max, argmax)."""
+    rounds of 64 points, first between its neighbours on the sorted base grid
+    (r adds points one ulp from the knots, too close to bracket a maximum),
+    then between its neighbours in the last round; returns (max, argmax)."""
     v = f(r)
     best, arg = -math.inf, math.nan
     for k in np.flatnonzero((v >= np.r_[-np.inf, v[:-1]]) & (v >= np.r_[v[1:], -np.inf])):
-        g = r
+        lo = base[max(np.searchsorted(base, r[k], "left") - 1, 0)]
+        hi = base[min(np.searchsorted(base, r[k], "right"), base.size - 1)]
         for _ in range(4):
-            g = np.geomspace(g[max(k - 1, 0)], g[min(k + 1, g.size - 1)], 64)
+            g = np.geomspace(lo, hi, 64)
             k = int(np.argmax(f(g)))
+            lo, hi = g[max(k - 1, 0)], g[min(k + 1, g.size - 1)]
         if f(g[k:k + 1])[0] > best:
             best, arg = float(f(g[k:k + 1])[0]), float(g[k])
     return best, arg
@@ -408,6 +412,10 @@ def refined_max(f, r):
 
 @given(scale_functions(), st.floats(-3.0, 3.0))
 @example(piecewise_scale([1.0], [1.0, 0.3125]), -6.103515625e-05)
+# f peaks on the points at the table's first r, whose next point is one ulp
+# above it; the sup lies inside the first base-grid step
+@example(tabulated_scale(10.0 ** np.array([-1.8, -1.0, 0.0, 1.0, 2.0]),
+                         10.0 ** np.array([0.0, 1.6, 2.6, 3.6, 4.6]), 1.0, 2.0, 1.0), -1.5)
 @settings(max_examples=150, deadline=None)
 def test_phi_is_the_sup_over_r(psi, log_s):
     s = 10.0 ** log_s
@@ -420,10 +428,10 @@ def test_phi_is_the_sup_over_r(psi, log_s):
 
     # 250 points a decade over (1e-12, 1e12) or over a table's range
     lo, hi = psi.params["r"][[0, -1]] if psi.kind == "table" else (1e-12, 1e12)
-    pts = np.unique(np.r_[np.geomspace(lo, hi, int(250 * math.log10(hi / lo)) + 2),
-                          around(psi.knots)])
+    base = np.geomspace(lo, hi, int(250 * math.log10(hi / lo)) + 2)
+    pts = np.unique(np.r_[base, around(psi.knots)])
     pts = pts[(pts >= lo) & (pts <= hi)]
-    top, arg = refined_max(f, pts)
+    top, arg = refined_max(f, pts, base)
     try:
         phi = PhiTransform(psi).value(s)
     except ScaleError as err:

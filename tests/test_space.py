@@ -48,6 +48,24 @@ def test_measure_must_be_positive():
                         "measure": [1.0, float("nan")]})
 
 
+@pytest.mark.parametrize("dist, measure, message", [
+    ([[0.0, 1.0]], [1.0], "distance matrix must be square"),
+    ([[0.0, 1.0], [1.0, 0.0]], [1.0], "measure vector has wrong length"),
+    ([[0.0, np.inf], [np.inf, 0.0]], [1.0, 1.0],
+     "distances and measure weights must be finite numbers"),
+    ([[0.0, 1.0], [1.0, 0.0]], [1.0, 0.0], "all measure weights must be strictly positive"),
+    ([[0.0, 1.0], [2.0, 0.0]], [1.0, 1.0], "distance matrix must be symmetric"),
+    ([[0.0, 1.0], [1.0, 1.0]], [1.0, 1.0], "distance matrix must have zero diagonal"),
+    ([[0.0, 0.0, 1.0], [0.0, 0.0, 1.0], [1.0, 1.0, 0.0]], [1.0] * 3,  # a duplicate point
+     "off-diagonal distances must be positive"),
+    ([[0.0, -1.0], [-1.0, 0.0]], [1.0, 1.0], "off-diagonal distances must be positive"),
+])
+def test_space_validation_messages(dist, measure, message):
+    with pytest.raises(sp.SpaceError) as err:
+        sp.FiniteMetricMeasureSpace(np.array(dist), np.array(measure))
+    assert str(err.value) == message
+
+
 def test_nan_coordinate_is_rejected():
     with pytest.raises(sp.SpaceError, match="finite"):
         sp.build_space({"type": "euclidean", "coords": [0.0, float("nan"), 2.0]})
