@@ -11,7 +11,7 @@ Ties at exactly eps are excluded.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
@@ -32,6 +32,7 @@ class ProximityIndex:
     space: FiniteMetricMeasureSpace
     epsilon: float
     edges: sp.csr_matrix
+    searches: dict = field(default_factory=dict, repr=False, compare=False)  # kind -> last
 
     @classmethod
     def build(cls, space: FiniteMetricMeasureSpace, epsilon: float) -> "ProximityIndex":
@@ -120,7 +121,9 @@ def _shortest_chain(space, epsilon, x, y, index, weighted):
     value = float if weighted else int
     if x == y:
         return value(0), [x]
-    dist, pred = index.shortest_paths(x, weighted=weighted)
+    if index.searches.get(weighted, (None,))[0] != x:  # one search per source and kind
+        index.searches[weighted] = (x, *index.shortest_paths(x, weighted=weighted))
+    _, dist, pred = index.searches[weighted]
     if not np.isfinite(dist[y]):
         return math.inf, []
     return value(dist[y]), _walk_predecessors(pred, x, y)

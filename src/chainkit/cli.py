@@ -17,7 +17,7 @@ from . import dirichlet as df
 from . import heat as ht
 from . import net as nt
 from . import space as spc
-from ._report import dumps, write_report
+from ._report import dumps, g17_cells, render_block, write_report
 from .scale import PhiTransform, parse_psi_spec, verify_regularity
 from .suites import SUITES
 
@@ -213,11 +213,13 @@ def cmd_heat(args) -> int:
     form = df.load_graph_csv(args.graph, args.vertices)
     table = ht.heat_kernel(form, args.times)
     if args.out:
-        row = ",".join(["%.17g"] * form.n)  # one format per CSV row
         with open(args.out, "w") as fh:
             for t in sorted(table.kernels):
-                for i, values in enumerate(table.kernels[t]):
-                    fh.write(f"{t:.17g},{i}," + row % tuple(values.tolist()) + "\n")
+                for i in range(0, form.n, 32):  # 32 kernel rows of cells at a time
+                    cells, _ = g17_cells(table.kernels[t][i:i + 32])
+                    cells[..., -1] = np.r_[np.full(form.n - 1, ord(",")), ord("\n")]
+                    heads = np.array([f"{t:.17g},{j},".encode() for j in range(i, i + len(cells))])
+                    fh.write(render_block(heads, cells))
     payload = {
         "config": _config_echo(args),
         "times": list(table.times),

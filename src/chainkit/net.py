@@ -17,7 +17,7 @@ import numpy as np
 
 from . import dirichlet as df
 from .chain import ProximityIndex
-from .space import FiniteMetricMeasureSpace, ball_volume, check_ids
+from .space import FiniteMetricMeasureSpace, check_ids
 
 
 class NetError(ValueError):
@@ -179,15 +179,16 @@ def partition_energy_report(space: FiniteMetricMeasureSpace,
     """Compare E(psi_z, psi_z) with m(B(z, eps)) / Psi(eps) per member."""
     eps = pou.net.epsilon
     psi_eps = psi_scale(eps)
+    mem = sorted(pou.net.members)
     rows = []
     worst = 0.0
-    for z, E in zip(sorted(pou.net.members), pou.energies.tolist()):
-        vol = ball_volume(space, z, eps)
-        bound_core = vol / psi_eps
-        ratio = E / bound_core if bound_core > 0 else math.inf
-        rows.append({"member": int(z), "energy": E, "volume": vol,
-                     "ratio": ratio})
-        worst = max(worst, ratio)
+    for sl in df.row_blocks(len(mem), space.n):  # one ball mask per block of member rows
+        for z, E, inside in zip(mem[sl], pou.energies[sl].tolist(), space.dist[mem[sl]] < eps):
+            vol = float(space.measure[inside].sum())  # in index order, as ball_volume sums
+            bound_core = vol / psi_eps
+            ratio = E / bound_core if bound_core > 0 else math.inf
+            rows.append({"member": int(z), "energy": E, "volume": vol, "ratio": ratio})
+            worst = max(worst, ratio)
     return {"constant": worst, "table": rows}
 
 

@@ -316,6 +316,21 @@ def counted_searches(monkeypatch):
     return calls
 
 
+def test_pair_analyses_from_one_source_share_its_searches(monkeypatch):
+    space = sp.space_from_graph(sierpinski_gasket_graph(3))
+    index = ch.ProximityIndex.build(space, 1.5)
+    calls = counted_searches(monkeypatch)
+    shared = [ch.analyze_pair(space, 1.5, x, y, index) for x, y in
+              [(0, 5), (0, 9), (0, 0), (0, 14), (3, 14), (3, 7), (0, 7)]]
+    assert len(calls) == 6  # both kinds for sources 0, 3 and 0 again; none for x == y
+    alone = [ch.analyze_pair(space, 1.5, a.x, a.y) for a in shared]
+    assert shared == alone  # the same searches, so the same witnesses
+    assert len(calls) == 6 + 12
+    assert ch.chain_metric(space, 1.5, 0, 9, index) == (alone[1].d_eps, alone[1].witness_metric)
+    assert ch.min_chain_count(space, 1.5, 3, 9, index)[0] == ch.min_chain_count(space, 1.5, 3, 9)[0]
+    assert len(calls) == 6 + 12 + 2  # source 0 reused; source 3 searched on both indexes
+
+
 def test_chain_condition_estimate_searches_only_below_the_smallest_connected_eps(monkeypatch):
     space = snowflake_grid(3.0, 11)  # hops of 0.1^(2/3) = 0.215: every eps connects
     grid = [0.25, 0.5, 1.0, 1.5]

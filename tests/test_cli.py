@@ -378,6 +378,38 @@ def test_heat_csv_bytes_match_the_per_entry_loop(tmp_path):
     assert out_csv.read_bytes() == "".join(lines).encode()
 
 
+def test_heat_csv_with_masses_and_a_short_time_equals_the_per_row_format(tmp_path):
+    graph, masses, out_csv = tmp_path / "g3.csv", tmp_path / "m.csv", tmp_path / "k.csv"
+    save_graph_csv(sierpinski_gasket_graph(3), graph)
+    rng = np.random.default_rng(3)
+    n = sierpinski_gasket_graph(3).n
+    masses.write_text("".join(f"{i},{m!r}\n" for i, m in enumerate(rng.uniform(0.2, 4.0, n).tolist())))
+    times = [0.01, 0.1, 1.0, 10.0]
+    assert main(["--json-only", "heat", "--graph", str(graph), "--vertices", str(masses),
+                 "--times", ",".join(map(str, times)), "--out", str(out_csv),
+                 "--report", str(tmp_path / "heat.json")]) == 0
+    table = heat_kernel(load_graph_csv(str(graph), str(masses)), times)
+    row = ",".join(["%.17g"] * n)  # one format per CSV row, as heat --out wrote
+    lines = [f"{t:.17g},{i}," + row % tuple(values.tolist()) + "\n"
+             for t in sorted(table.kernels) for i, values in enumerate(table.kernels[t])]
+    assert out_csv.read_text() == "".join(lines)
+    far = table.kernels[0.01]
+    assert (far < 0).any() and (np.abs(far) < 1e-15).any()  # far entries are signed noise
+
+
+def test_a_table_of_many_blocks_equals_the_reference_renderer():
+    rng = np.random.default_rng(4)
+    n = 4096 * 2 + 123
+    floats = rng.normal(size=n) * 10.0 ** rng.integers(-30, 30, n)
+    floats[::7] = -0.0
+    floats[::11] = np.round(floats[::11])
+    rows = Rows(x=rng.integers(-2 ** 63, 2 ** 63 - 1, n), eps=np.repeat([1.5, -4.5, 0.0], n // 3 + 1)[:n],
+                ratio=floats, count=rng.integers(0, 2 ** 64 - 1, n, dtype=np.uint64),
+                small=rng.integers(-128, 127, n).astype(np.int8))
+    assert dumps(rows) == reference_dumps(list(rows))
+    assert dumps({"table": rows}) == reference_dumps({"table": list(rows)})
+
+
 def test_gasket_subcommand(tmp_path, capsys):
     out_csv = tmp_path / "g2.csv"
     assert main(["gasket", "--level", "2", "--out", str(out_csv)]) == 0

@@ -224,6 +224,18 @@ def test_partition_energy_report():
     assert len(rep["table"]) == len(net.members)
 
 
+def test_partition_energy_report_equals_the_member_loop_across_blocks(monkeypatch):
+    form, _ = replay_graph("gasket", 4, 11, True)  # random masses: sums depend on order
+    space = sp.space_from_graph(form)
+    net = nt.build_net(space, 1.0)
+    pou = nt.build_partition(space, net)
+    energies = dict(zip(sorted(net.members), pou.energies.tolist()))
+    report = loop_energy_report(space, net, energies, power_scale(2.0))
+    monkeypatch.setattr(df, "BLOCK_ENTRIES", 5 * space.n)  # blocks of 5 member rows
+    assert len(df.row_blocks(len(net.members), space.n)) > 10
+    assert nt.partition_energy_report(space, pou, power_scale(2.0)) == report
+
+
 def test_proof_replay_frozen_values():
     space = sp.space_from_graph(path_graph(101))
     rep = nt.proof_replay(space, power_scale(2.0), 0, 100, 6.0)
