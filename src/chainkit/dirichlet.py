@@ -172,26 +172,16 @@ def capacity(form: GraphDirichletForm, A, B) -> tuple[float, np.ndarray]:
     f = np.zeros(n)
     f[A] = 1.0
 
-    boundary = np.zeros(n, dtype=bool)
-    boundary[A] = True
-    boundary[B] = True
-    interior = ~boundary
-    idx = np.flatnonzero(interior)
+    idx = np.setdiff1d(np.arange(n), np.r_[A, B])  # the interior
     if idx.size:
         L = form.laplacian().tocsr()
-        ncomp, labels = form.components()
+        _, labels = form.components()
         # components with no A vertex are constant (1 only when pinned by A)
-        comp_has_A = np.zeros(ncomp, dtype=bool)
-        comp_has_A[labels[A]] = True
-        comp_has_B = np.zeros(ncomp, dtype=bool)
-        comp_has_B[labels[B]] = True
-        solve_mask = comp_has_A[labels[idx]] & comp_has_B[labels[idx]]
-        free = idx[solve_mask]
-        f[idx[comp_has_A[labels[idx]] & ~comp_has_B[labels[idx]]]] = 1.0
+        has_A, has_B = np.isin(labels[idx], labels[A]), np.isin(labels[idx], labels[B])
+        free = idx[has_A & has_B]
+        f[idx[has_A & ~has_B]] = 1.0
         if free.size:
-            Lff = L[np.ix_(free, free)]
-            rhs = -L[free, :] @ f
-            f[free] = spla.spsolve(Lff.tocsc(), rhs)
+            f[free] = spla.spsolve(L[np.ix_(free, free)].tocsc(), -L[free, :] @ f)
     return energy(form, f), f
 
 

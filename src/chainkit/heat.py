@@ -174,6 +174,15 @@ class SubGaussianFit:
     per_beta_residual: dict
 
 
+def _line(X: np.ndarray, Y: np.ndarray) -> tuple[float, float]:
+    """Least-squares line of Y on X in centred closed form; slope 0 if X is constant."""
+    xm, ym = X.mean(), Y.mean()
+    dx = X - xm
+    sxx = dx @ dx
+    slope = (dx @ (Y - ym)) / sxx if sxx > 0 else 0.0
+    return slope, ym - slope * xm
+
+
 def sub_gaussian_fit(table: HeatKernelTable, dist: np.ndarray,
                      pairs=None, beta_grid=BETA_GRID) -> SubGaussianFit:
     """Fit the walk exponent of a sub-Gaussian heat-kernel envelope.
@@ -234,24 +243,21 @@ def sub_gaussian_fit(table: HeatKernelTable, dist: np.ndarray,
             continue
         X = u[keep] ** (1.0 / (beta - 1.0))
         Y = -np.log(K[keep] * V[cidx, b].T[keep])
-        slope, intercept = np.polyfit(X, Y, 1)
+        slope, intercept = _line(X, Y)
         resid = Y - (slope * X + intercept)
-        score = float(np.sqrt(np.mean(resid ** 2)) / (Y.std() + 1e-30))
-        if slope <= 0:
-            score = math.inf
+        score = (float(np.sqrt(np.mean(resid ** 2)) / (Y.std() + 1e-30))
+                 if slope > 0 else math.inf)
         per_beta[float(beta)] = score
         if best is None or score < best[1]:
-            best = (float(beta), score, slope, intercept, X, Y)
+            best = (float(beta), score, slope, X, Y)
     if best is None or not math.isfinite(best[1]):
         raise HeatError("insufficient dynamic range for the envelope fit")
-    beta, score, slope, intercept, X, Y = best
-    # bracketing constants: p V = exp(-Y) vs the fitted envelope exp(-slope X)
-    C_upper = float(np.exp(np.max(-Y + slope * X)))
-    c_lower = float(np.exp(np.min(-Y + slope * X)))
-    return SubGaussianFit(beta=beta, c_lower=c_lower, C_upper=C_upper,
-                          residual=score, on_diagonal_slope=slope_on,
-                          volume_exponent=vol_exp, n_points=int(X.size),
-                          per_beta_residual=per_beta)
+    beta, score, slope, X, Y = best
+    gap = slope * X - Y  # bracketing constants: log of p V = exp(-Y) over exp(-slope X)
+    return SubGaussianFit(beta=beta, c_lower=float(np.exp(gap.min())),
+                          C_upper=float(np.exp(gap.max())), residual=score,
+                          on_diagonal_slope=slope_on, volume_exponent=vol_exp,
+                          n_points=int(X.size), per_beta_residual=per_beta)
 
 
 def chaining_lower_bound(table: HeatKernelTable, dist: np.ndarray, x: int,
@@ -264,14 +270,16 @@ def chaining_lower_bound(table: HeatKernelTable, dist: np.ndarray, x: int,
     only when d(u, v) <= h (the near-diagonal window).  Since every discarded
     term is nonnegative, the result is a genuine lower bound on p_t(x, y) for
     every n; with n = 1 and an admissible pair it is exactly p_t(x, y).
+    p_{t/n} is read as one block on x, y and the balls, never as an n x n kernel.
     """
-    if n < 1:
-        raise HeatError("chain length must be >= 1")
+    if not 0 < t < math.inf:  # NaN fails too
+        raise HeatError("time must be finite and positive")
+    if not isinstance(n, (int, np.integer)) or n < 1:
+        raise HeatError("chain length must be an integer >= 1")
     h = 8.0 * (t / n) ** 0.5
-    P = table.kernel_at(t / n)
-    admissible = dist <= h
+    lam, phi = table.eigenvalues, table.eigenfunctions
     if n == 1:
-        return float(P[x, y]) if admissible[x, y] else 0.0
+        return float((phi[x] * np.exp(-lam * t)) @ phi[y]) if dist[x, y] <= h else 0.0
 
     # chain points: hop-count interpolation along a shortest path
     d_row, pred = csgraph.dijkstra(table.form.lengths, directed=False,
@@ -280,19 +288,20 @@ def chaining_lower_bound(table: HeatKernelTable, dist: np.ndarray, x: int,
         return 0.0
     path = _walk_predecessors(pred, x, y)
     idx = np.linspace(0, len(path) - 1, n + 1).round().astype(int)
-    chain = [path[i] for i in idx]
+    balls = dist[[path[i] for i in idx[1:-1]]] <= h / 2.0
+    if not balls.any(axis=1).all():
+        return 0.0
 
-    m = table.form.vertex_measure
-    T = np.where(admissible, P, 0.0)
-    vec = np.zeros(table.form.n)
-    vec[x] = 1.0
-    for i in range(1, n):
-        ball = dist[chain[i]] <= h / 2.0
-        if not ball.any():
-            return 0.0
+    # p_(t/n) on U = {x, y} and the balls, kept where d <= h
+    U = np.union1d(np.flatnonzero(balls.any(axis=0)), [x, y])
+    T = (phi[U] * np.exp(-lam * (t / n))) @ phi[U].T
+    T[dist[np.ix_(U, U)] > h] = 0.0
+    m = table.form.vertex_measure[U]
+    vec = (U == x).astype(float)
+    for ball in balls[:, U]:
         vec = (vec @ T) * m
         vec[~ball] = 0.0
-    return float(vec @ T[:, y])
+    return float(vec @ T[:, np.searchsorted(U, y)])
 
 
 def generalized_estimate_eval(table: HeatKernelTable, space, psi, phi,
@@ -325,8 +334,7 @@ def sierpinski_gasket_graph(level: int) -> GraphDirichletForm:
     def subdivide(a, b, c, depth):
         if depth == 0:
             ia, ib, ic = (ids.setdefault(p, len(ids)) for p in (a, b, c))
-            edges.update({frozenset((ia, ib)), frozenset((ib, ic)),
-                          frozenset((ia, ic))})
+            edges.update(frozenset(e) for e in ((ia, ib), (ib, ic), (ia, ic)))
             return
         ab, bc, ca = (((p[0] + q[0]) // 2, (p[1] + q[1]) // 2)
                       for p, q in ((a, b), (b, c), (c, a)))
@@ -336,29 +344,27 @@ def sierpinski_gasket_graph(level: int) -> GraphDirichletForm:
 
     subdivide((0, 0), (2 ** level, 0), (0, 2 ** level), level)
     n = len(ids)
-    rows, cols = [], []
-    for e in edges:
-        i, j = tuple(e)
-        rows += [i, j]
-        cols += [j, i]
-    w = sp.coo_matrix((np.ones(len(rows)), (rows, cols)), shape=(n, n)).tocsr()
+    i, j = np.array([tuple(e) for e in edges]).T
+    w = sp.coo_matrix((np.ones(2 * i.size), (np.r_[i, j], np.r_[j, i])), shape=(n, n)).tocsr()
     return GraphDirichletForm(w, np.ones(n))
 
 
-def mean_exit_time(form: GraphDirichletForm, x: int, r: float) -> float:
-    """E_x of the exit time of B(x, r), by an exact linear solve.
-
-    Solves (D - W) u = m on the open ball with u = 0 outside; raises when
-    the ball is the whole graph (the walk never exits).  The ball comes from
-    one shortest-path row from x.
-    """
-    ball = np.flatnonzero(csgraph.dijkstra(form.lengths, directed=False, indices=x) < r)
-    if ball.size == form.n:
+def _exit_time(L: sp.csr_matrix, m: np.ndarray, d_row: np.ndarray, x: int, r: float) -> float:
+    """mean_exit_time on the Laplacian L and the distance row d_row from x."""
+    ball = np.flatnonzero(d_row < r)
+    if ball.size == m.size:
         raise DirichletFormError("ball is the whole graph; exit time is infinite")
-    L = form.laplacian().tocsr()
-    Lbb = L[np.ix_(ball, ball)].tocsc()
-    u = spla.spsolve(Lbb, form.vertex_measure[ball])
+    u = spla.spsolve(L[np.ix_(ball, ball)].tocsc(), m[ball])
     return float(u[np.searchsorted(ball, x)])
+
+
+def mean_exit_time(form: GraphDirichletForm, x: int, r: float) -> float:
+    """E_x of the exit time of B(x, r): (D - W) u = m on the open ball, u = 0
+    outside, by an exact linear solve; raises when the ball is the whole graph."""
+    if not r > 0:  # NaN fails too
+        raise HeatError("radii must be positive")
+    return _exit_time(form.laplacian().tocsr(), form.vertex_measure,
+                      csgraph.dijkstra(form.lengths, directed=False, indices=x), x, r)
 
 
 def exit_time_walk_dimension(form: GraphDirichletForm, centers, radii) -> dict:
@@ -366,21 +372,25 @@ def exit_time_walk_dimension(form: GraphDirichletForm, centers, radii) -> dict:
 
     beta_hat is the least-squares slope of log E_x[tau_B(x,r)] against log r
     over all (center, radius) combinations whose ball is a proper subset.
+    The Laplacian is built once and one shortest-path row is read per center.
     """
     radii = np.asarray(sorted(radii), dtype=float)
+    if not (radii > 0).all():  # NaN fails too
+        raise HeatError("radii must be positive")
     if radii[-1] / radii[0] < 9.9:
         raise HeatError("radii must span at least one decade")
-    logs_r, logs_E, rows = [], [], []
+    L, m = form.laplacian().tocsr(), form.vertex_measure
+    rows = []
     for x in centers:
+        d_row = csgraph.dijkstra(form.lengths, directed=False, indices=x)
         for r in radii:
             try:
-                E = mean_exit_time(form, x, r)
+                rows.append({"center": int(x), "radius": float(r),
+                             "exit_time": _exit_time(L, m, d_row, x, r)})
             except DirichletFormError:  # the ball is the whole graph
                 continue
-            logs_r.append(math.log(r))
-            logs_E.append(math.log(E))
-            rows.append({"center": int(x), "radius": float(r), "exit_time": E})
-    if len(set(logs_r)) < 2:
+    if len({row["radius"] for row in rows}) < 2:
         raise HeatError("not enough usable (center, radius) combinations")
-    beta_hat = float(np.polyfit(logs_r, logs_E, 1)[0])
+    beta_hat = float(np.polyfit([math.log(row["radius"]) for row in rows],
+                                [math.log(row["exit_time"]) for row in rows], 1)[0])
     return {"beta_hat": beta_hat, "table": rows}

@@ -4,9 +4,12 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.sparse as sps
+import scipy.sparse.csgraph as csgraph
+from hypothesis import given, settings, strategies as st
 
 import chainkit.heat as ht
 import chainkit.space as sp
+from chainkit.chain import _walk_predecessors
 from chainkit.dirichlet import (
     DirichletFormError,
     GraphDirichletForm,
@@ -204,6 +207,40 @@ def test_sub_gaussian_fit_matches_point_loop(case):
     assert sum(math.isfinite(v) for v in ref.per_beta_residual.values()) >= 10
 
 
+@given(st.lists(st.tuples(st.floats(0.0, 10.0), st.floats(-10.0, 10.0)), min_size=2,
+                max_size=60).filter(lambda pts: np.ptp([x for x, _ in pts]) >= 1.0))
+@settings(max_examples=200, deadline=None)
+def test_closed_form_line_equals_polyfit(points):
+    X, Y = np.array(points).T
+    slope, intercept = ht._line(X, Y)
+    ref_slope, ref_intercept = np.polyfit(X, Y, 1)
+    assert slope == pytest.approx(ref_slope, rel=1e-12, abs=1e-12)
+    assert intercept == pytest.approx(ref_intercept, rel=1e-12, abs=1e-12)
+
+
+def test_constant_fit_abscissa_scores_inf():
+    assert ht._line(np.full(8, 3.0), np.arange(8.0)) == (0.0, 3.5)
+    # seven pairs at distance 50 read at t = 100 and one at distance 5 read at
+    # t = 1 share u = d^2 / t = 25, so the only beta sees eight equal X values
+    form = path_graph(101)
+    table = ht.heat_kernel(form, [1.0, 100.0], verify=False)
+    with pytest.raises(ht.HeatError, match="insufficient dynamic range"):
+        ht.sub_gaussian_fit(table, form.geodesic_distances(), pairs=[(0, 50)] * 7 + [(0, 5)],
+                            beta_grid=[2.0])
+
+
+def test_criterion_7_values_on_the_full_beta_grid():
+    for form, times, centres, radii, beta, n_points, beta_hat in (
+            (cycle_graph(200), np.geomspace(1.0, 400.0, 25), [0, 50, 100],
+             np.geomspace(2, 40, 8), 2.04, 1546, 1.9246618568951315),
+            (ht.sierpinski_gasket_graph(6), np.geomspace(4.0, 4000.0, 25), [0],
+             np.geomspace(2, 32, 6), 2.25, 8582, 2.1873740457516506)):
+        fit = ht.sub_gaussian_fit(ht.heat_kernel(form, times, verify=False),
+                                  form.geodesic_distances())
+        assert (fit.beta, fit.n_points) == (beta, n_points)
+        assert ht.exit_time_walk_dimension(form, centres, radii)["beta_hat"] == beta_hat
+
+
 def test_lazy_kernels_equal_eager_expression():
     form, _ = permuted_gasket(3, 1)
     table = ht.heat_kernel(form, [0.1, 1.0, 10.0, 100.0], verify=False)
@@ -330,6 +367,86 @@ def test_chaining_lower_bound_disconnected_pair():
     assert ht.chaining_lower_bound(table, dist, 0, 3, 1.0, 4) == 0.0
 
 
+def full_kernel_chaining_lower_bound(table, dist, x, y, t, n):
+    """The full-kernel loop chaining_lower_bound ran before, kept as its reference.
+
+    It builds the whole n x n kernel p_(t/n) and multiplies full-length vectors.
+    """
+    h = 8.0 * (t / n) ** 0.5
+    P = table.kernel_at(t / n)
+    admissible = dist <= h
+    if n == 1:
+        return float(P[x, y]) if admissible[x, y] else 0.0
+    d_row, pred = csgraph.dijkstra(table.form.lengths, directed=False,
+                                   indices=x, return_predecessors=True)
+    if not np.isfinite(d_row[y]):
+        return 0.0
+    path = _walk_predecessors(pred, x, y)
+    idx = np.linspace(0, len(path) - 1, n + 1).round().astype(int)
+    chain = [path[i] for i in idx]
+    m = table.form.vertex_measure
+    T = np.where(admissible, P, 0.0)
+    vec = np.zeros(table.form.n)
+    vec[x] = 1.0
+    for i in range(1, n):
+        ball = dist[chain[i]] <= h / 2.0
+        if not ball.any():
+            return 0.0
+        vec = (vec @ T) * m
+        vec[~ball] = 0.0
+    return float(vec @ T[:, y])
+
+
+def chaining_cases():
+    """(form, x, y, times, chain lengths): the criterion-8 cycle, cycle-60 and a
+    gasket-4 with seeded non-uniform conductances and masses."""
+    gasket = weighted_gasket(4, 7)
+    far = int(np.argmax(gasket.geodesic_distances()[3]))
+    return [(cycle_graph(200), 0, 100, [1.0, 4.0, 16.0], range(1, 33)),
+            (cycle_graph(60), 0, 20, [9.0, 2.5], range(1, 17)),
+            (gasket, 3, far, [1.0, 6.0, 30.0], range(1, 17))]
+
+
+@pytest.mark.parametrize("case", range(3))
+def test_chaining_lower_bound_matches_full_kernel_loop(case, monkeypatch):
+    form, x, y, times, lengths = chaining_cases()[case]
+    dist = form.geodesic_distances()
+    ref_table = ht.heat_kernel(form, times, verify=False)
+    ref = [[full_kernel_chaining_lower_bound(ref_table, dist, x, y, t, n) for n in lengths]
+           for t in times]
+    built = []
+    kernel = ht._kernel
+    monkeypatch.setattr(ht, "_kernel", lambda lam, phi, t: built.append(t) or kernel(lam, phi, t))
+    table = ht.heat_kernel(form, times, verify=False)
+    got = [[ht.chaining_lower_bound(table, dist, x, y, t, n) for n in lengths] for t in times]
+    assert built == []  # no n x n kernel, and every grid time in table.kernels still unread
+    np.testing.assert_allclose(got, ref, rtol=1e-10, atol=0)
+    assert sum(b > 0 for row in ref for b in row) >= 20  # not a test of zeros
+
+
+def test_chaining_lower_bound_empty_ball_is_zero():
+    form = cycle_graph(20)
+    table = ht.heat_kernel(form, [4.0], verify=False)
+    # shifted distances: every ball of radius h / 2 misses even its own centre
+    dist = form.geodesic_distances() + 100.0
+    for n in (1, 2, 5):
+        assert ht.chaining_lower_bound(table, dist, 0, 10, 4.0, n) == 0.0
+        assert full_kernel_chaining_lower_bound(table, dist, 0, 10, 4.0, n) == 0.0
+
+
+def test_chaining_lower_bound_rejects_bad_times_and_lengths():
+    form = cycle_graph(20)
+    dist = form.geodesic_distances()
+    table = ht.heat_kernel(form, [4.0], verify=False)
+    for t in (-1.0, 0.0, math.nan, math.inf, -math.inf):
+        with pytest.raises(ht.HeatError, match="time must be finite and positive"):
+            ht.chaining_lower_bound(table, dist, 0, 5, t, 2)
+    for n in (2.5, 0, -3, 2.0):
+        with pytest.raises(ht.HeatError, match="chain length"):
+            ht.chaining_lower_bound(table, dist, 0, 5, 4.0, n)
+    assert ht.chaining_lower_bound(table, dist, 0, 5, 4.0, np.int64(2)) > 0
+
+
 def test_generalized_estimate_eval_gaussian_reduction():
     form = cycle_graph(40)
     space = sp.space_from_graph(form)
@@ -433,3 +550,33 @@ def test_exit_time_walk_dimension_path_is_2():
     form = path_graph(201)
     rep = ht.exit_time_walk_dimension(form, [100], [2.0, 4.0, 8.0, 16.0, 32.0])
     assert rep["beta_hat"] == pytest.approx(2.0, abs=1e-9)
+
+
+def test_exit_times_reject_bad_radii():
+    form = path_graph(41)
+    for r in (0.0, -1.0, math.nan):
+        with pytest.raises(ht.HeatError, match="radii must be positive"):
+            ht.mean_exit_time(form, 20, r)
+    for radii in ([0.0, 2.0, 40.0], [2.0, math.nan, 40.0], [math.nan, 2.0, 40.0]):
+        with pytest.raises(ht.HeatError, match="radii must be positive"):
+            ht.exit_time_walk_dimension(form, [20], radii)
+    # an infinite radius keeps its meaning: the ball is the whole graph, skipped
+    with pytest.raises(DirichletFormError):
+        ht.mean_exit_time(form, 20, math.inf)
+    assert (ht.exit_time_walk_dimension(form, [20], [2.0, 4.0, 20.0, math.inf])
+            == ht.exit_time_walk_dimension(form, [20], [2.0, 4.0, 20.0]))
+
+
+def test_exit_time_walk_dimension_shares_one_laplacian_and_a_row_per_centre(monkeypatch):
+    form = weighted_gasket(4, 5)
+    centres, radii = [0, 17, 40], np.geomspace(1.0, 12.0, 5)
+    ref = {(x, float(r)): ht.mean_exit_time(form, x, r) for x in centres for r in radii}
+    laplacians, rows = [], []
+    laplacian, dijkstra = form.laplacian, csgraph.dijkstra
+    monkeypatch.setattr(form, "laplacian", lambda: laplacians.append(1) or laplacian())
+    monkeypatch.setattr(csgraph, "dijkstra", lambda *a, **k: rows.append(k["indices"])
+                        or dijkstra(*a, **k))
+    rep = ht.exit_time_walk_dimension(form, centres, radii)
+    assert len(laplacians) == 1 and rows == centres
+    assert rep["table"] and all(row["exit_time"] == ref[row["center"], row["radius"]]
+                                for row in rep["table"])
