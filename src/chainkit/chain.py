@@ -191,7 +191,9 @@ def main_inequality_scan(space: FiniteMetricMeasureSpace, psi, pairs,
     are counted and skipped.  Also tabulates psi(eps) d_eps / eps per eps (the
     vanishing functional whose trend is reported, not its limit).
     """
-    xs, ys = np.asarray(pairs, dtype=int).reshape(-1, 2).T
+    pairs = np.asarray(pairs, dtype=int).reshape(-1, 2)
+    check_ids(space, pairs)
+    xs, ys = pairs.T
     d = space.dist[xs, ys]
     worst = 0.0
     argmax = None

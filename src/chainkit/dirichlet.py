@@ -122,14 +122,27 @@ def cycle_graph(n: int) -> GraphDirichletForm:
     return GraphDirichletForm(w, np.ones(n))
 
 
-def energy(form: GraphDirichletForm, f: np.ndarray):
-    """Dirichlet energy E(f, f) = sum over edges of w_e (df)^2; a (k, n) array
-    gives one energy per row, each row summed alone as a 1-D array."""
-    f = np.asarray(f, dtype=float)
-    F, w = np.atleast_2d(f), form.edges
-    out = np.empty(len(F))
-    for sl in row_blocks(len(F), w.data.size):  # take() keeps each row contiguous
-        diff = F[sl].take(w.row, axis=1) - F[sl].take(w.col, axis=1)
+def dense_rows(f, sl: slice) -> np.ndarray:
+    """Rows ``sl`` of a 2-D array, or of a CSR matrix as a dense array."""
+    if not sp.issparse(f):
+        return f[sl]
+    ptr = f.indptr[sl.start:sl.stop + 1]
+    out = np.zeros((ptr.size - 1, f.shape[1]))
+    out[np.repeat(np.arange(ptr.size - 1), np.diff(ptr)),
+        f.indices[ptr[0]:ptr[-1]]] = f.data[ptr[0]:ptr[-1]]
+    return out
+
+
+def energy(form: GraphDirichletForm, f):
+    """Dirichlet energy E(f, f) = sum over edges of w_e (df)^2; a (k, n) array,
+    dense or sparse, gives one energy per row, each row read dense and summed
+    alone as a 1-D array."""
+    f = f if sp.issparse(f) else np.asarray(f, dtype=float)
+    F, w = (np.atleast_2d(f) if f.ndim < 2 else f), form.edges
+    out = np.empty(F.shape[0])
+    for sl in row_blocks(F.shape[0], w.data.size):  # take() keeps each row contiguous
+        rows = dense_rows(F, sl)
+        diff = rows.take(w.row, axis=1) - rows.take(w.col, axis=1)
         out[sl] = [0.5 * c.sum() for c in w.data * diff ** 2]
     return float(out[0]) if f.ndim == 1 else out
 
@@ -169,6 +182,9 @@ def capacity(form: GraphDirichletForm, A, B) -> tuple[float, np.ndarray]:
     if np.intersect1d(A, B).size:
         raise DirichletFormError("A and B must be disjoint")
     n = form.n
+    outside = np.setdiff1d(np.r_[A, B], np.arange(n))
+    if outside.size:
+        raise DirichletFormError(f"A and B must be vertex ids in 0..{n - 1}; got {outside[0]}")
     f = np.zeros(n)
     f[A] = 1.0
 
@@ -198,7 +214,8 @@ def truncated_maximal(space, nu: np.ndarray, x, R: float):
     nu = np.asarray(nu, dtype=float)
     centres = np.atleast_1d(x)
     out = np.empty(centres.size)
-    for sl in row_blocks(centres.size, space.measure.size):
+    # a block's sort and sums hold about nine temporaries the size of its rows
+    for sl in row_blocks(centres.size, 9 * space.measure.size):
         d, last, nu_ball, m_ball = sorted_profiles(space.dist[centres[sl]], nu,
                                                    space.measure)
         # ball {d <= r} is realized by radii just above r, at the last of its
@@ -310,6 +327,8 @@ def load_graph_csv(edge_path, vertex_path=None) -> GraphDirichletForm:
     measure = np.ones(n)
     if vertex_path is not None:
         vrows = np.atleast_2d(_load_csv(vertex_path))
+        if vrows.shape[1] != 2:
+            raise DirichletFormError("vertex file must have 2 columns")
         ids = _vertex_ids(vrows[:, 0], "vertex file")
         if ((ids < 0) | (ids >= n)).any():
             raise DirichletFormError(f"vertex file has an id outside 0..{n - 1}")

@@ -14,6 +14,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 
 from . import dirichlet as df
 from .chain import ProximityIndex
@@ -33,15 +34,32 @@ class EpsilonNet:
     members: list[int]
     voronoi: np.ndarray | None = None
 
-    def certify(self) -> None:
-        """Exhaustive separation and covering check."""
+    def certify(self) -> np.ndarray:
+        """Exhaustive separation and covering check; returns the nearest member
+        of every point (the smallest id on ties), which ``voronoi_assign`` takes."""
         mem = np.asarray(self.members)
         i, j = close_pairs(self.space.dist, mem, self.epsilon)
         if i.size:
             raise NetError(f"separation violated by members {mem[i[0]]} and {mem[j[0]]}")
-        nearest = self.space.dist[mem].min(axis=0)  # member rows: dist is symmetric
+        mem = np.sort(mem)
+        nearest, first = nearest_members(self.space.dist, mem)
         if (nearest >= self.epsilon).any():
             raise NetError(f"covering violated at point {int(np.argmax(nearest))}")
+        return mem[first]
+
+
+def nearest_members(dist: np.ndarray, mem: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Distance from every point to the nearest of the ids ``mem`` and the
+    position in ``mem`` of the first one at that distance, kept as a running
+    minimum over blocks of member rows (dist is symmetric)."""
+    nearest, first = np.full(dist.shape[0], np.inf), np.zeros(dist.shape[0], dtype=int)
+    for sl in df.row_blocks(mem.size, dist.shape[0]):
+        block = dist[mem[sl]]
+        k = block.argmin(axis=0)  # the first row at the block's minimum
+        d = np.take_along_axis(block, k[None], axis=0)[0]
+        closer = d < nearest  # strict: an earlier block keeps a tie
+        nearest[closer], first[closer] = d[closer], k[closer] + sl.start
+    return nearest, first
 
 
 def close_pairs(dist: np.ndarray, ids, epsilon: float) -> np.ndarray:
@@ -73,8 +91,7 @@ def build_net(space: FiniteMetricMeasureSpace, epsilon: float,
             members.append(p)
             covered |= space.dist[p] < epsilon
     net = EpsilonNet(space=space, epsilon=epsilon, members=members)
-    net.certify()
-    net.voronoi = voronoi_assign(net)
+    net.voronoi = voronoi_assign(net, net.certify())
     return net
 
 
@@ -87,16 +104,17 @@ def _raise_first(members: np.ndarray, checks: dict) -> None:
         raise NetError(list(checks)[k].format(members[i]))
 
 
-def voronoi_assign(net: EpsilonNet) -> np.ndarray:
-    """Nearest-member assignment, ties broken to the smallest member id.
+def voronoi_assign(net: EpsilonNet, owner: np.ndarray | None = None) -> np.ndarray:
+    """Nearest-member assignment, ties broken to the smallest member id
+    (``owner`` when the caller has it from ``certify``).
 
     Certifies B(z, eps/2) subset R_z subset closed-ball(z, eps) for every
     member z.
     """
     mem = np.asarray(sorted(net.members))
     dist, eps = net.space.dist, net.epsilon
-    near = dist[mem]  # member rows, as dist is symmetric
-    owner = mem[np.argmax(near == near.min(axis=0), axis=0)]  # the first (smallest id) tie
+    if owner is None:
+        owner = mem[nearest_members(dist, mem)[1]]
     for sl in df.row_blocks(mem.size, owner.size):
         d, cell = dist[mem[sl]], owner == mem[sl, None]
         _raise_first(mem[sl], {"Voronoi cell of {} leaves the closed eps-ball": cell & (d > eps),
@@ -108,36 +126,45 @@ def voronoi_assign(net: EpsilonNet) -> np.ndarray:
 @dataclass
 class PartitionOfUnity:
     """Family {psi_z} indexed by net members, summing to one everywhere: row i
-    of ``psi`` (members x n) and ``energies[i]`` belong to the i-th member in
-    ascending id order."""
+    of ``psi`` (a members x n CSR matrix holding each bump's support) and
+    ``energies[i]`` belong to the i-th member in ascending id order."""
 
     net: EpsilonNet
     form: df.GraphDirichletForm
-    psi: np.ndarray
+    psi: sp.csr_matrix
     energies: np.ndarray
 
     def verify(self) -> None:
-        eps, dist = self.net.epsilon, self.net.space.dist
+        eps, dist, psi = self.net.epsilon, self.net.space.dist, self.psi
         mem = np.asarray(sorted(self.net.members))
-        if np.abs(self.psi.sum(axis=0) - 1.0).max() > 1e-12:
+        if np.abs(column_sums(psi) - 1.0).max() > 1e-12:
             raise NetError("partition does not sum to one")
         blocks = df.row_blocks(mem.size, dist.shape[0])
-        for sl in blocks:
-            d, psi = dist[mem[sl]], self.psi[sl]
+        for sl in blocks:  # dense rows, one block at a time
+            d, rows = dist[mem[sl]], df.dense_rows(psi, sl)
             _raise_first(mem[sl], {
                 "psi_{} is not identically 1 on B(z, eps/4)":
-                (d < eps / 4) & (np.abs(psi - 1.0) > 0),
-                "psi_{} does not vanish outside B(z, 5 eps/4)": (d >= 5 * eps / 4) & (psi != 0)})
+                (d < eps / 4) & (np.abs(rows - 1.0) > 0),
+                "psi_{} does not vanish outside B(z, 5 eps/4)": (d >= 5 * eps / 4) & (rows != 0)})
         # psi_w (w != z) vanishes on B(z, eps/4) iff only psi_z may be nonzero there
-        nonzero = sum((self.psi[sl] != 0).sum(axis=0) for sl in blocks)
+        nonzero = np.bincount(psi.indices[psi.data != 0], minlength=dist.shape[0])
         for sl in blocks:
             ball = dist[mem[sl]] < eps / 4
-            shared = (ball & (nonzero != (self.psi[sl] != 0))).any(axis=1)
+            shared = (ball & (nonzero != (df.dense_rows(psi, sl) != 0))).any(axis=1)
             if shared.any():
-                i = np.argmax(shared)
-                w = next(w for w, psi_w in zip(mem, self.psi)
-                         if w != mem[sl][i] and (psi_w[ball[i]] != 0).any())
-                raise NetError(f"psi_{w} does not vanish on B({mem[sl][i]}, eps/4)")
+                z = sl.start + int(np.argmax(shared))
+                row = np.repeat(np.arange(mem.size), np.diff(psi.indptr))
+                w = next(w for w in row[(psi.data != 0) & ball[z - sl.start][psi.indices]]
+                         if w != z)
+                raise NetError(f"psi_{mem[w]} does not vanish on B({mem[z]}, eps/4)")
+
+
+def column_sums(psi: sp.csr_matrix) -> np.ndarray:
+    """Column sums of a CSR matrix with the rows added one after another, as
+    an axis-0 sum of its dense rows adds them (a zero changes no sum)."""
+    total = np.zeros(psi.shape[1])
+    np.add.at(total, psi.indices, psi.data)
+    return total
 
 
 def build_partition(space: FiniteMetricMeasureSpace, net: EpsilonNet) -> PartitionOfUnity:
@@ -145,7 +172,8 @@ def build_partition(space: FiniteMetricMeasureSpace, net: EpsilonNet) -> Partiti
 
     Requires a graph-backed space (the energies are graph Dirichlet
     energies).  Every point lies in its owner's cell, so the normalizing
-    denominator is at least 1 everywhere.
+    denominator is at least 1 everywhere.  The bumps are computed in blocks
+    of member rows, and only their nonzeros are kept.
     """
     if space.graph is None:
         raise NetError("partition of unity requires a graph-backed space")
@@ -159,15 +187,22 @@ def build_partition(space: FiniteMetricMeasureSpace, net: EpsilonNet) -> Partiti
     rows = np.full((mem.size, np.bincount(cell).max()), -1)
     rows[cell, np.arange(space.n) - np.searchsorted(cell, cell)] = order
     rows = np.where(rows < 0, rows[:, :1], rows)
-    psi = np.empty((mem.size, space.n))
+    data, indices, counts = [], [], []
     for sl in df.row_blocks(mem.size, rows.shape[1] * space.n):
-        psi[sl] = space.dist[rows[sl]].min(axis=1)
-    psi /= eps / 4.0
-    np.clip(np.subtract(1.0, psi, out=psi), 0.0, 1.0, out=psi)
-    denom = psi.sum(axis=0)  # rows added one after another, in member order
+        phi = space.dist[rows[sl]].min(axis=1)
+        phi /= eps / 4.0
+        np.clip(np.subtract(1.0, phi, out=phi), 0.0, 1.0, out=phi)
+        flat = np.flatnonzero(phi)
+        data.append(phi.ravel()[flat])
+        indices.append(flat % space.n)
+        counts.append(np.bincount(flat // space.n, minlength=len(phi)))
+    indptr = np.r_[0, np.cumsum(np.concatenate(counts))]
+    psi = sp.csr_matrix((np.concatenate(data), np.concatenate(indices), indptr),
+                        shape=(mem.size, space.n))
+    denom = column_sums(psi)  # rows added one after another, in member order
     if (denom <= 0).any():
         raise AssertionError("partition denominator vanished; net is not maximal")
-    psi /= denom
+    psi.data /= denom[psi.indices]
     pou = PartitionOfUnity(net=net, form=space.graph, psi=psi,
                            energies=df.energy(space.graph, psi))
     pou.verify()
@@ -224,6 +259,9 @@ def proof_replay(space: FiniteMetricMeasureSpace, psi_scale, x: int, y: int,
     """
     if space.graph is None:
         raise NetError("proof replay requires a graph-backed space")
+    check_ids(space, x, y)
+    if x == y:
+        raise NetError("x and y must differ")
     d_xy = float(space.dist[x, y])
     if epsilon > d_xy:
         raise NetError("replay requires eps <= d(x, y)")
@@ -245,7 +283,9 @@ def proof_replay(space: FiniteMetricMeasureSpace, psi_scale, x: int, y: int,
         )
 
     pou = build_partition(space, net)
-    u = sum(u_hat[z] * pou.psi[np.searchsorted(mem, z)] for z in net.members)  # in net order
+    rows = pou.psi[np.searchsorted(mem, net.members)]  # a copy, rows in net order
+    rows.data *= np.repeat([u_hat[z] for z in net.members], np.diff(rows.indptr))
+    u = column_sums(rows)  # sum of u_hat(z) psi_z, added in net order
 
     # u is constant on each plateau B(z, eps'/4), so the energy measure
     # vanishes there; checked via the per-vertex density.  Each plateau lies

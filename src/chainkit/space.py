@@ -136,8 +136,15 @@ def space_from_graph(form: GraphDirichletForm) -> FiniteMetricMeasureSpace:
     )
 
 
-def check_ids(space: FiniteMetricMeasureSpace, *ids: int) -> None:
+def check_ids(space: FiniteMetricMeasureSpace, *ids) -> None:
+    """SpaceError naming the first id outside 0..n-1; an array of ids is
+    checked in one pass, in row-major order."""
     for i in ids:
+        if isinstance(i, np.ndarray):
+            ok = (i >= 0) & (i < space.n)
+            if ok.all():
+                continue
+            i = i.flat[np.argmin(ok)]
         if not 0 <= i < space.n:
             raise SpaceError(f"unknown point id {i}")
 

@@ -114,6 +114,14 @@ def test_main_inequality_scan_reports_skips():
     assert scan["worst_ratio"] > 0
 
 
+@pytest.mark.parametrize("pairs, bad", [([(0, 1), (5, 0), (0, -1)], 5),
+                                       ([(0, 1), (2, -1), (7, 3)], -1)])
+def test_main_inequality_scan_names_the_first_id_outside_the_space(pairs, bad):
+    # -1 would read the last point; 5 is past the end.  First in row-major order
+    with pytest.raises(sp.SpaceError, match=f"unknown point id {bad}$"):
+        ch.main_inequality_scan(unit_line(5), power_scale(2.0), pairs, [2.0])
+
+
 @pytest.mark.parametrize("spec, beta, epsilons, message", [
     # psi(d) = d ** 300 overflows to inf: the ratios were NaN, worst_ratio 0, argmax None
     ({"type": "euclidean", "coords": [0.0, 10.0, 20.0, 30.0, 40.0]}, 300.0, [15.0, 25.0],

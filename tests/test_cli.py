@@ -287,6 +287,37 @@ def test_dirichlet_cap_requires_sets(path_csv, capsys):
     assert main(["dirichlet", "cap", "--graph", path_csv]) == 1
 
 
+@pytest.mark.parametrize("A, B, bad", [("-1", "0", -1), ("0", "3,999", 999)])
+def test_dirichlet_cap_rejects_ids_outside_the_graph(path_csv, capsys, A, B, bad):
+    # -1 read the last vertex and exited 0; 999 ended in an IndexError
+    assert main(["dirichlet", "cap", "--graph", path_csv, "--A", A, "--B", B]) == 1
+    assert f"A and B must be vertex ids in 0..10; got {bad}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("x, y, message", [("0", "42", "unknown point id 42"),
+                                            ("-1", "3", "unknown point id -1"),
+                                            ("5", "5", "x and y must differ")])
+def test_replay_checks_its_points(tmp_path, capsys, x, y, message):
+    graph = tmp_path / "g3.csv"
+    save_graph_csv(sierpinski_gasket_graph(3), graph)  # 42 vertices
+    assert main(["replay", "--graph", str(graph), "--x", x, "--y", y, "--eps", "1"]) == 1
+    assert message in capsys.readouterr().err
+
+
+def test_chain_pair_outside_the_space_is_an_error(line_space, capsys):
+    assert main(["chain", "--space", line_space, "--eps", "1", "--pairs", "0,99"]) == 1
+    assert "unknown point id 99" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("rows", ["0\n1\n", "0,1.0,2\n1,1.0,2\n"])
+def test_vertex_file_needs_two_columns(path_csv, tmp_path, capsys, rows):
+    masses = tmp_path / "m.csv"
+    masses.write_text(rows)
+    assert main(["dirichlet", "cap", "--graph", path_csv, "--vertices", str(masses),
+                 "--A", "0", "--B", "10"]) == 1
+    assert "vertex file must have 2 columns" in capsys.readouterr().err
+
+
 def test_duplicate_csv_edge_is_an_error(tmp_path, capsys):
     graph = tmp_path / "dup.csv"
     graph.write_text("0,1,1.0\n1,2,1.0\n1,0,1.0\n")

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import scipy.sparse as sps
 import pytest
@@ -147,9 +149,12 @@ def test_partition_of_unity_properties():
     net = nt.build_net(space, 4.0)
     pou = nt.build_partition(space, net)
     pou.verify()
-    total = sum(pou.psi)
+    assert sps.isspmatrix_csr(pou.psi)
+    psi = pou.psi.toarray()
+    assert pou.psi.nnz == np.count_nonzero(psi)  # only the supports are stored
+    total = sum(psi)
     assert np.abs(total - 1.0).max() <= 1e-12
-    for z, psi_z in zip(sorted(net.members), pou.psi):
+    for z, psi_z in zip(sorted(net.members), psi):
         assert psi_z[z] == pytest.approx(1.0)
         assert (psi_z >= 0).all() and (psi_z <= 1).all()
 
@@ -178,11 +183,11 @@ def test_partition_disjointness_matches_pairwise_loop(graph, eps):
     space = sp.space_from_graph(form)
     pou = nt.build_partition(space, nt.build_net(space, eps))
     members = sorted(pou.net.members)
-    assert loop_verify_error(pou.net, dict(zip(members, pou.psi))) is None
+    assert loop_verify_error(pou.net, dict(zip(members, pou.psi.toarray()))) is None
     rng = np.random.default_rng(5)
     tampered = 0
     for trial in range(40):
-        psi = pou.psi.copy()
+        psi = pou.psi.toarray()
         for _ in range(1 + trial % 2):
             z = int(rng.choice(members))
             v = int(rng.choice(np.flatnonzero(space.dist[z] < eps / 4)))
@@ -195,7 +200,7 @@ def test_partition_disjointness_matches_pairwise_loop(graph, eps):
             i1, i2 = rng.choice(near, 2, replace=False)
             psi[i1, v] += 0.5
             psi[i2, v] -= 0.5
-        bad = nt.PartitionOfUnity(net=pou.net, form=form, psi=psi,
+        bad = nt.PartitionOfUnity(net=pou.net, form=form, psi=sps.csr_matrix(psi),
                                   energies=pou.energies)
         expected = loop_verify_error(pou.net, dict(zip(members, psi)))
         if expected is None:
@@ -266,6 +271,16 @@ def test_proof_replay_catches_a_hop_count_jump(monkeypatch):
     space = sp.space_from_graph(path_graph(101))
     with pytest.raises(AssertionError, match="unit-Lipschitz"):
         nt.proof_replay(space, power_scale(2.0), 0, 100, 6.0)
+
+
+@pytest.mark.parametrize("x, y, message", [(-1, 10, "unknown point id -1"),
+                                            (0, 11, "unknown point id 11"),
+                                            (4, 4, "x and y must differ")])
+def test_proof_replay_checks_its_points_first(x, y, message):
+    # -1 would read the last vertex, 11 is past the end of path-11
+    space = sp.space_from_graph(path_graph(11))
+    with pytest.raises(ValueError, match=message):
+        nt.proof_replay(space, power_scale(2.0), x, y, 2.0)
 
 
 def test_proof_replay_rejects_large_eps():
@@ -440,7 +455,7 @@ def test_proof_replay_equals_the_member_loops(kind, seed, weighted, eps):
             assert got == expected and type(got) is type(expected), name
     net = nt.build_net(space, eps / 3.0, include={x, y})
     pou = nt.build_partition(space, net)
-    assert np.array_equal(pou.psi, np.array(list(psis.values())))
+    assert np.array_equal(pou.psi.toarray(), np.array(list(psis.values())))
     assert np.array_equal(pou.energies, list(energies.values()))
     assert nt.partition_energy_report(space, pou, psi) == report
 
@@ -472,14 +487,15 @@ def test_partition_verify_raises_the_member_loops_message(seed, changes, delta):
     pou = nt.build_partition(space, net)
     members = sorted(net.members)
     rng = np.random.default_rng(seed)
-    psi = pou.psi.copy()
+    psi = pou.psi.toarray()
     for _ in range(changes):
         i, j = rng.choice(len(members), 2, replace=False)
         near = space.dist[members[i]] <= eps * rng.choice([0.25, 1.25, 3.0])
         v = rng.choice(np.flatnonzero(near))
         psi[i, v] += delta
         psi[j, v] -= delta
-    bad = nt.PartitionOfUnity(net=net, form=form, psi=psi, energies=pou.energies)
+    bad = nt.PartitionOfUnity(net=net, form=form, psi=sps.csr_matrix(psi),
+                              energies=pou.energies)
     expected = loop_verify_error(net, dict(zip(members, psi)))
     if expected is None:
         bad.verify()
@@ -487,3 +503,88 @@ def test_partition_verify_raises_the_member_loops_message(seed, changes, delta):
         with pytest.raises(nt.NetError) as err:
             bad.verify()
         assert str(err.value) == expected
+
+
+# The dense partition of unity, its net-order blend and the whole-block
+# nearest-member owner the net code used to compute, kept as references: the
+# CSR build and the blocked nearest-member pass must reproduce them bit for bit.
+
+def dense_owner(net):
+    mem = np.asarray(sorted(net.members))
+    near = net.space.dist[mem]
+    return mem[np.argmax(near == near.min(axis=0), axis=0)]
+
+
+def dense_partition(space, net):
+    """The (members x n) bumps from the cell rows, one axis-0 sum of the
+    whole array in member order, then the division."""
+    eps, owner = net.epsilon, net.voronoi
+    mem = np.asarray(sorted(net.members))
+    order = np.argsort(owner, kind="stable")
+    cell = np.searchsorted(mem, owner[order])
+    rows = np.full((mem.size, np.bincount(cell).max()), -1)
+    rows[cell, np.arange(space.n) - np.searchsorted(cell, cell)] = order
+    rows = np.where(rows < 0, rows[:, :1], rows)
+    psi = space.dist[rows].min(axis=1)
+    psi /= eps / 4.0
+    np.clip(np.subtract(1.0, psi, out=psi), 0.0, 1.0, out=psi)
+    return psi / psi.sum(axis=0)
+
+
+def dense_u(net, u_hat, psi):
+    mem = sorted(net.members)
+    return sum(u_hat[z] * psi[np.searchsorted(mem, z)] for z in net.members)
+
+
+def has_ties(net):
+    near = net.space.dist[sorted(net.members)]
+    return ((near == near.min(axis=0)).sum(axis=0) > 1).any()
+
+
+@pytest.mark.parametrize("case, eps, x", [
+    ("path-41", 6.0, 0),
+    # random masses, conductances and lengths; bumps overlap where another
+    # order of the denominator's rows or of u's terms changes their bits
+    ("gasket-4 masses", 12.0, 22),
+    ("gasket-5", 3.0, 0),  # every vertex is a member
+    ("ties", 6.0, 0)])
+@pytest.mark.parametrize("block", [None, 3])
+def test_sparse_partition_and_blocked_owner_equal_the_dense_references(
+        monkeypatch, case, eps, x, block):
+    form = {"path-41": lambda: path_graph(41),
+            "gasket-4 masses": lambda: replay_graph("gasket", 4, 0, True)[0],
+            "gasket-5": lambda: sierpinski_gasket_graph(5),
+            "ties": lambda: sierpinski_gasket_graph(4)}[case]()
+    space = sp.space_from_graph(form)
+    if block:  # blocks of 3 rows
+        monkeypatch.setattr(df, "BLOCK_ENTRIES", block * space.n)
+    y = int(np.argmax(space.dist[x]))
+    rep = nt.proof_replay(space, power_scale(2.0), x, y, eps)
+    net = nt.build_net(space, eps / 3.0, include={x, y})
+    assert np.array_equal(net.voronoi, dense_owner(net))
+    assert np.array_equal(nt.voronoi_assign(net), net.voronoi)
+    if case == "gasket-5":
+        assert len(net.members) == space.n
+    if case in ("path-41", "ties"):  # equidistant points go to the smallest member id
+        assert has_ties(net)
+    pou = nt.build_partition(space, net)
+    psi = dense_partition(space, net)
+    assert sps.isspmatrix_csr(pou.psi) and pou.psi.nnz == np.count_nonzero(psi)
+    assert np.array_equal(pou.psi.toarray(), psi)
+    assert np.array_equal(pou.energies, df.energy(form, psi))
+    assert np.array_equal(rep.u, dense_u(net, rep.u_hat, psi))
+
+
+def test_proof_replay_on_gasket_6_keeps_to_the_supports():
+    # every vertex is a member at eps 3; the 9.6 MB distance matrix is built
+    # before tracing starts
+    space = sp.space_from_graph(sierpinski_gasket_graph(6))
+    y = int(np.argmax(space.dist[0]))
+    tracemalloc.start()
+    try:
+        rep = nt.proof_replay(space, power_scale(2.0), 0, y, 3.0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(rep.u_hat) == space.n
+    assert peak < 6e6, peak
