@@ -11,7 +11,7 @@ Ties at exactly eps are excluded.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -32,7 +32,6 @@ class ProximityIndex:
     space: FiniteMetricMeasureSpace
     epsilon: float
     edges: sp.csr_matrix
-    searches: dict = field(default_factory=dict, repr=False, compare=False)  # kind -> last
 
     @classmethod
     def build(cls, space: FiniteMetricMeasureSpace, epsilon: float) -> "ProximityIndex":
@@ -121,9 +120,7 @@ def _shortest_chain(space, epsilon, x, y, index, weighted):
     value = float if weighted else int
     if x == y:
         return value(0), [x]
-    if index.searches.get(weighted, (None,))[0] != x:  # one search per source and kind
-        index.searches[weighted] = (x, *index.shortest_paths(x, weighted=weighted))
-    _, dist, pred = index.searches[weighted]
+    dist, pred = index.shortest_paths(x, weighted=weighted)
     if not np.isfinite(dist[y]):
         return math.inf, []
     return value(dist[y]), _walk_predecessors(pred, x, y)
@@ -172,15 +169,36 @@ def chain_sandwich_check(analysis: ChainAnalysis) -> bool:
 def chain_sweep(space: FiniteMetricMeasureSpace, epsilons, xs, ys):
     """Yield (eps, chains) per eps, where ``chains(weighted=True)`` reads d_eps
     and ``chains(weighted=False)`` N_eps (inf if disconnected) of the pairs
-    (xs[k], ys[k]): one index per eps, one search per read from the distinct xs.
+    (xs[k], ys[k]), with ``witness(k)``, pair k's chain ([] if disconnected)
+    walked from the predecessors of the same search: one index per eps, one
+    search per read from the distinct xs.  A source's row of that search is
+    its single-source search, so the witnesses are ``chain_metric``'s and
+    ``min_chain_count``'s.
     """
     sources, rows = np.unique(xs, return_inverse=True)
     for eps in epsilons:
         index = ProximityIndex.build(space, eps)
 
         def chains(weighted: bool = True, index=index):  # bound to this eps's index
-            return index.shortest_paths(sources, weighted=weighted)[0][rows, ys]
+            dist, pred = index.shortest_paths(sources, weighted=weighted)
+            return dist[rows, ys], lambda k: _walk_predecessors(
+                pred[rows[k]], int(xs[k]), int(ys[k]))
         yield eps, chains
+
+
+def pair_analyses(space: FiniteMetricMeasureSpace, epsilons, xs, ys):
+    """Yield the verified ``ChainAnalysis`` of every eps and pair (xs[k], ys[k]),
+    eps by eps, all read from one ``chain_sweep``: one search per kind per eps."""
+    check_ids(space, xs, ys)
+    for eps, chains in chain_sweep(space, epsilons, xs, ys):
+        (d_eps, metric), (n_eps, hops) = chains(), chains(weighted=False)
+        for k, (x, y) in enumerate(zip(xs.tolist(), ys.tolist())):
+            analysis = ChainAnalysis(
+                x=x, y=y, epsilon=eps, d_eps=float(d_eps[k]),
+                n_eps=int(n_eps[k]) if np.isfinite(n_eps[k]) else math.inf,
+                witness_metric=metric(k), witness_hops=hops(k))
+            analysis.verify(space)
+            yield analysis
 
 
 def main_inequality_scan(space: FiniteMetricMeasureSpace, psi, pairs,
@@ -201,7 +219,7 @@ def main_inequality_scan(space: FiniteMetricMeasureSpace, psi, pairs,
     trend = []
     skipped = 0
     for eps, chains in chain_sweep(space, epsilons, xs, ys):
-        d_eps = chains()
+        d_eps = chains()[0]
         keep = np.flatnonzero((d >= eps) & np.isfinite(d_eps))
         skipped += xs.size - keep.size
         if not keep.size:
@@ -244,7 +262,9 @@ def chain_condition_estimate(space: FiniteMetricMeasureSpace, epsilons,
     """
     if pairs is None:
         pairs = np.transpose(np.triu_indices(space.n, 1))
-    xs, ys = np.asarray(pairs, dtype=int).reshape(-1, 2).T
+    pairs = np.asarray(pairs, dtype=int).reshape(-1, 2)
+    check_ids(space, pairs)
+    xs, ys = pairs.T
     xs, ys = xs[xs != ys], ys[xs != ys]
     d = space.dist[xs, ys]
 
@@ -257,7 +277,7 @@ def chain_condition_estimate(space: FiniteMetricMeasureSpace, epsilons,
     K_hat = 1.0
     argmax = None
     for eps, chains in chain_sweep(space, running_minima(), xs, ys):
-        ratio = chains() / d
+        ratio = chains()[0] / d
         cut = np.flatnonzero(np.isinf(ratio))
         if cut.size:
             return {"K_hat": math.inf, "disconnected_at": float(eps),

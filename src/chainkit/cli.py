@@ -136,19 +136,15 @@ def cmd_chain(args) -> int:
     if args.pairs == "all":
         pairs = np.column_stack(np.triu_indices(space.n, 1))  # row-major, as (i, j > i) loops
     else:
-        x, y = _ints(args.pairs)
+        try:
+            x, y = _ints(args.pairs)
+        except ValueError:
+            raise UsageError(f"--pairs takes all or x,y; got {args.pairs!r}") from None
         pairs = np.array([[x, y]])
     scan = ch.main_inequality_scan(space, psi, pairs, args.eps)
-    analyses = []
-    for eps in args.eps:
-        index = ch.ProximityIndex.build(space, eps)
-        for x, y in pairs[:32].tolist():
-            a = ch.analyze_pair(space, eps, x, y, index)
-            analyses.append({
-                "x": a.x, "y": a.y, "eps": a.epsilon, "d_eps": a.d_eps,
-                "n_eps": a.n_eps, "witness_metric": a.witness_metric,
-                "witness_hops": a.witness_hops,
-            })
+    analyses = [{"x": a.x, "y": a.y, "eps": a.epsilon, "d_eps": a.d_eps, "n_eps": a.n_eps,
+                 "witness_metric": a.witness_metric, "witness_hops": a.witness_hops}
+                for a in ch.pair_analyses(space, args.eps, *pairs[:32].T)]
     payload = {"config": _config_echo(args), "scan": scan, "analyses": analyses}
     _emit(args, payload)
     return 0

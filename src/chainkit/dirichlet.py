@@ -259,19 +259,6 @@ def poincare_constant(form: GraphDirichletForm, psi, x: int, r: float) -> float:
     return mu_max / psi(r)
 
 
-def two_point_check(space, psi, u: np.ndarray, x: int, y: int, R: float) -> dict:
-    """Check |u(x)-u(y)|^2 against Psi(R) * (M_R Gamma(u,u)(x) + M_R Gamma(u,u)(y)).
-
-    ``space`` is graph-backed.  Returns lhs, the maximal-function core of the
-    rhs, and their ratio (the empirical constant; 0 for constant u, inf flags a
-    locality violation).
-    """
-    u = np.asarray(u, dtype=float)
-    gamma = energy_measure(space.graph, u).density
-    return _two_point(u, x, y, psi(R), truncated_maximal(space, gamma, x, R),
-                      truncated_maximal(space, gamma, y, R))
-
-
 def _two_point(u: np.ndarray, x: int, y: int, psi_R: float, Mx: float, My: float) -> dict:
     """The two-point record from u and the maximal values M_R Gamma(u,u) at x, y."""
     lhs = float((u[x] - u[y]) ** 2)

@@ -26,7 +26,7 @@ from scipy.linalg import eigh
 
 from .chain import _walk_predecessors, chain_metric, epsilon_of_t
 from .dirichlet import DirichletFormError, GraphDirichletForm
-from .space import VolumeProfile, ball_volume, distance_profile
+from .space import ball_volume, distance_profile
 
 # candidate walk exponents for envelope fitting; brackets the Gaussian case
 # and the gasket value log5/log2
@@ -211,11 +211,15 @@ def sub_gaussian_fit(table: HeatKernelTable, dist: np.ndarray,
 
     xs, ys = np.array(pairs).T
     centres, cidx = np.unique(xs, return_inverse=True)
-    profiles = [VolumeProfile(x, *distance_profile(dist[x], m)) for x in centres]
+    profiles = [distance_profile(dist[x], m) for x in centres]
+
+    def volume(c, r):  # V(centre c, r) = m({d < r}) from its profile
+        steps, volumes = profiles[c]
+        return np.r_[0.0, volumes][np.searchsorted(steps, r, side="left")]
 
     # empirical volume-growth exponent over the distance range of the pairs
     radii = np.geomspace(max(ds.min(), 1e-9), ds.max(), 16)
-    vol_exp = float(np.polyfit(np.log(radii), np.log(profiles[cidx[0]].at(radii)), 1)[0])
+    vol_exp = float(np.polyfit(np.log(radii), np.log(volume(cidx[0], radii)), 1)[0])
 
     # K[t, j] = p_t(x_j, y_j); V[c, b, t] = V(centre c, t^(1/beta_b))
     ball_radii = times ** (1.0 / np.asarray(beta_grid, dtype=float)[:, None])
@@ -224,7 +228,7 @@ def sub_gaussian_fit(table: HeatKernelTable, dist: np.ndarray,
     for c, x in enumerate(centres):
         on, rows = cidx == c, table.rows(x, times)
         K[:, on] = rows[:, ys[on]]
-        V[c] = profiles[c].at(ball_radii)
+        V[c] = volume(c, ball_radii)
         if c == cidx[0]:
             pdiag = rows[:, x]  # p_t(x, x) at the first pair's centre
 

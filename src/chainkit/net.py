@@ -17,7 +17,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import dirichlet as df
-from .chain import ProximityIndex
+from .chain import chain_sweep
 from .space import FiniteMetricMeasureSpace, check_ids
 
 
@@ -144,7 +144,7 @@ class PartitionOfUnity:
             d, rows = dist[mem[sl]], df.dense_rows(psi, sl)
             _raise_first(mem[sl], {
                 "psi_{} is not identically 1 on B(z, eps/4)":
-                (d < eps / 4) & (np.abs(rows - 1.0) > 0),
+                (d < eps / 4) & ((rows < 1) | (rows > 1)),
                 "psi_{} does not vanish outside B(z, 5 eps/4)": (d >= 5 * eps / 4) & (rows != 0)})
         # psi_w (w != z) vanishes on B(z, eps/4) iff only psi_z may be nonzero there
         nonzero = np.bincount(psi.indices[psi.data != 0], minlength=dist.shape[0])
@@ -265,8 +265,8 @@ def proof_replay(space: FiniteMetricMeasureSpace, psi_scale, x: int, y: int,
     d_xy = float(space.dist[x, y])
     if epsilon > d_xy:
         raise NetError("replay requires eps <= d(x, y)")
-    index = ProximityIndex.build(space, epsilon)
-    hops, _ = index.shortest_paths(x, weighted=False)
+    [(_, chains)] = chain_sweep(space, [epsilon], np.full(space.n, x), np.arange(space.n))
+    hops, _ = chains(weighted=False)  # N_eps(x, .) from one search
     if not np.isfinite(hops).all():
         raise NetError("proximity graph is disconnected at this epsilon")
 

@@ -231,24 +231,6 @@ def uniform_perfectness(space: FiniteMetricMeasureSpace) -> dict:
     return {"holds_at_2": worst is None, "worst_scale": worst, "required_C": required_C}
 
 
-@dataclass
-class VolumeProfile:
-    """Step-exact volume function V(x, r) sampled at its jump radii."""
-
-    center: int
-    radii: np.ndarray
-    volumes: np.ndarray
-
-    def at(self, r):
-        """V(x, r) = m({d < r}) for a radius or an array of radii."""
-        return np.r_[0.0, self.volumes][np.searchsorted(self.radii, r, side="left")]
-
-
-def volume_profile(space: FiniteMetricMeasureSpace, x: int) -> VolumeProfile:
-    check_ids(space, x)
-    return VolumeProfile(x, *distance_profile(space.dist[x], space.measure))
-
-
 def save_space(space: FiniteMetricMeasureSpace, path) -> None:
     prov = space.provenance
     metric: dict = {"type": prov.get("type", "explicit")}

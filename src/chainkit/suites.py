@@ -36,7 +36,7 @@ def suite_geodesic() -> dict:
         sandwich_bad = 0
         for eps, chains in ch.chain_sweep(space, np.geomspace(1.5, space.diameter(), 10),
                                           xs, ys):
-            d_eps, hops = chains(), chains(weighted=False)
+            d_eps, hops = chains()[0], chains(weighted=False)[0]
             identity_ok &= np.array_equal(d_eps, space.dist.ravel())
             sandwich_bad += ch.sandwich_violations(float(eps), d_eps[upper], hops[upper])
         checks.append(_check(f"{label}: d_eps == d for 10 eps values", identity_ok))
@@ -58,7 +58,7 @@ def suite_snowflake() -> dict:
     tested = 0
     sandwich_bad = 0
     for eps, chains in ch.chain_sweep(space, np.geomspace(0.05, 0.5, 10).tolist(), i, j):
-        d_eps, hops = chains(), chains(weighted=False)
+        d_eps, hops = chains()[0], chains(weighted=False)[0]
         sandwich_bad += ch.sandwich_violations(eps, d_eps, hops)
         mask = (d >= 10 * eps) & np.isfinite(d_eps)
         if mask.any():
@@ -98,7 +98,8 @@ def suite_gasket() -> dict:
     sandwich_bad = 0
     for eps, chains in ch.chain_sweep(gasket_space, np.geomspace(1.5, gasket_space.diameter(), 5),
                                       *np.triu_indices(gasket_space.n, 1)):
-        sandwich_bad += ch.sandwich_violations(float(eps), chains(), chains(weighted=False))
+        sandwich_bad += ch.sandwich_violations(float(eps), chains()[0],
+                                              chains(weighted=False)[0])
     checks.append(_check("gasket-4 chain sandwich", sandwich_bad == 0,
                          violations=sandwich_bad))
     return {"suite": "gasket", "ok": all(c["ok"] for c in checks), "checks": checks}

@@ -1,3 +1,4 @@
+import json
 import math
 
 import networkx as nx
@@ -9,6 +10,8 @@ from hypothesis import example, given, settings, strategies as st
 
 import chainkit.chain as ch
 import chainkit.space as sp
+from chainkit._report import dumps
+from chainkit.cli import main
 from chainkit.dirichlet import path_graph
 from chainkit.heat import sierpinski_gasket_graph
 from chainkit.scale import ScaleError, piecewise_scale, power_scale, tabulated_scale
@@ -120,6 +123,15 @@ def test_main_inequality_scan_names_the_first_id_outside_the_space(pairs, bad):
     # -1 would read the last point; 5 is past the end.  First in row-major order
     with pytest.raises(sp.SpaceError, match=f"unknown point id {bad}$"):
         ch.main_inequality_scan(unit_line(5), power_scale(2.0), pairs, [2.0])
+
+
+@pytest.mark.parametrize("pairs, bad", [([(0, 1), (5, 0), (0, -1)], 5),
+                                       ([(0, 1), (2, -1), (7, 3)], -1)])
+def test_chain_condition_estimate_names_the_first_id_outside_the_space(pairs, bad):
+    # 5 ended in an IndexError; -1 alone read the last point, and came back
+    # as the argmax (eps, 0, -1) when its ratio was the largest
+    with pytest.raises(sp.SpaceError, match=f"unknown point id {bad}$"):
+        ch.chain_condition_estimate(unit_line(5), [2.0], pairs)
 
 
 @pytest.mark.parametrize("spec, beta, epsilons, message", [
@@ -324,19 +336,40 @@ def counted_searches(monkeypatch):
     return calls
 
 
-def test_pair_analyses_from_one_source_share_its_searches(monkeypatch):
-    space = sp.space_from_graph(sierpinski_gasket_graph(3))
-    index = ch.ProximityIndex.build(space, 1.5)
-    calls = counted_searches(monkeypatch)
-    shared = [ch.analyze_pair(space, 1.5, x, y, index) for x, y in
-              [(0, 5), (0, 9), (0, 0), (0, 14), (3, 14), (3, 7), (0, 7)]]
-    assert len(calls) == 6  # both kinds for sources 0, 3 and 0 again; none for x == y
-    alone = [ch.analyze_pair(space, 1.5, a.x, a.y) for a in shared]
-    assert shared == alone  # the same searches, so the same witnesses
-    assert len(calls) == 6 + 12
-    assert ch.chain_metric(space, 1.5, 0, 9, index) == (alone[1].d_eps, alone[1].witness_metric)
-    assert ch.min_chain_count(space, 1.5, 3, 9, index)[0] == ch.min_chain_count(space, 1.5, 3, 9)[0]
-    assert len(calls) == 6 + 12 + 2  # source 0 reused; source 3 searched on both indexes
+def counted_builds(monkeypatch):
+    """The epsilons of every ProximityIndex.build call from now on."""
+    built, build = [], ch.ProximityIndex.build.__func__
+
+    def counted(cls, space, epsilon):
+        built.append(epsilon)
+        return build(cls, space, epsilon)
+
+    monkeypatch.setattr(ch.ProximityIndex, "build", classmethod(counted))
+    return built
+
+
+def test_chain_report_reads_its_analyses_from_one_sweep_per_eps(monkeypatch, tmp_path,
+                                                                 capsys):
+    # a jittered 2-D cloud of 12 points: 66 pairs, of which the report analyses
+    # 32 per eps; several share a source, and eps 0.7 disconnects some of them
+    rng = np.random.default_rng(5)
+    coords = np.column_stack([np.arange(12.0) % 4, np.arange(12.0) // 4])
+    space = sp.build_space({"type": "euclidean",
+                            "coords": (coords + rng.uniform(-0.2, 0.2, coords.shape)).tolist()})
+    path = tmp_path / "cloud.json"
+    sp.save_space(space, path)
+    eps = [0.7, 1.3, 2.5]
+    built, calls = counted_builds(monkeypatch), counted_searches(monkeypatch)
+    assert main(["chain", "--space", str(path), "--eps", ",".join(map(str, eps))]) == 0
+    assert (len(built), len(calls)) == (6, 9)  # the scan's sweep, then one for the analyses
+    analyses = json.loads(capsys.readouterr().out)["analyses"]
+    pairs = np.column_stack(np.triu_indices(space.n, 1))[:32].tolist()
+    alone = [ch.analyze_pair(space, e, x, y) for e in eps for x, y in pairs]
+    assert any(math.isinf(a.d_eps) for a in alone) and any(a.n_eps > 1 for a in alone)
+    assert analyses == json.loads(dumps([
+        {"x": a.x, "y": a.y, "eps": a.epsilon, "d_eps": a.d_eps, "n_eps": a.n_eps,
+         "witness_metric": a.witness_metric, "witness_hops": a.witness_hops}
+        for a in alone]))
 
 
 def test_chain_condition_estimate_searches_only_below_the_smallest_connected_eps(monkeypatch):
@@ -373,10 +406,12 @@ def test_chain_sweep_reads_the_single_pair_chains(kind, n, seed, data):
     sweep = list(ch.chain_sweep(space, eps, xs, ys))  # each reader keeps its own eps
     assert [e for e, _ in sweep] == eps
     for e, chains in sweep:
-        d_eps, hops = chains(), chains(weighted=False)
+        (d_eps, metric), (hops, fewest) = chains(), chains(weighted=False)
         for k, (x, y) in enumerate(pairs):
-            assert d_eps[k] == ch.chain_metric(space, e, x, y)[0]
-            assert hops[k] == ch.min_chain_count(space, e, x, y)[0]
+            # witnesses from the sweep's own 2-D search: the same lists of ints
+            assert (d_eps[k], metric(k)) == ch.chain_metric(space, e, x, y)
+            assert (hops[k], fewest(k)) == ch.min_chain_count(space, e, x, y)
+            assert {type(v) for v in metric(k) + fewest(k)} <= {int}
 
 
 @pytest.mark.parametrize("suite, builds, searches", [
@@ -385,14 +420,7 @@ def test_each_suite_builds_and_searches_as_often_as_before(suite, builds, search
                                                            monkeypatch):
     from chainkit.suites import SUITES
 
-    built, build = [], ch.ProximityIndex.build.__func__
-
-    def counted(cls, space, epsilon):
-        built.append(epsilon)
-        return build(cls, space, epsilon)
-
-    monkeypatch.setattr(ch.ProximityIndex, "build", classmethod(counted))
-    calls = counted_searches(monkeypatch)
+    built, calls = counted_builds(monkeypatch), counted_searches(monkeypatch)
     assert SUITES[suite]()["ok"]
     assert (len(built), len(calls)) == (builds, searches)
 

@@ -373,11 +373,15 @@ def test_replay_rejects_nonpositive_edge_lengths(lengths, tmp_path, capsys):
      "energy requires finite --f values"),
     (["dirichlet", "energy", "--graph", "{path}", "--f", "1" + ",1" * 9 + ",inf"],
      "energy requires finite --f values"),
+    (["chain", "--space", "{line}", "--eps", "1", "--pairs", "0,1,2"], "--pairs takes all or x,y"),
+    (["chain", "--space", "{line}", "--eps", "1", "--pairs", "0"], "--pairs takes all or x,y"),
+    (["chain", "--space", "{line}", "--eps", "1", "--pairs", "a,b"], "--pairs takes all or x,y"),
 ])
 def test_nan_and_infinite_inputs_are_errors(argv, message, line_space, path_csv, capsys):
     # NaN compares False: net certified every point, heat wrote NaN diagonals,
     # and chain, replay and heat at inf failed with unrelated messages; phi at
-    # s = inf printed 0 and the energy of a NaN --f printed "NaN", both exit 0
+    # s = inf printed 0 and the energy of a NaN --f printed "NaN", both exit 0;
+    # a --pairs that is not x,y failed with Python's unpacking or int() message
     assert main([a.format(line=line_space, path=path_csv) for a in argv]) == 1
     assert message in capsys.readouterr().err
 

@@ -129,10 +129,20 @@ def test_poincare_constant_trivial_ball():
     assert df.poincare_constant(form, power_scale(2.0), 0, 0.5) == 0.0
 
 
+def two_point_check(space, psi, u: np.ndarray, x: int, y: int, R: float) -> dict:
+    """|u(x)-u(y)|^2 against Psi(R) * (M_R Gamma(u,u)(x) + M_R Gamma(u,u)(y)) on a
+    graph-backed space, from u alone: the oracle for the proof replay's two-point
+    record, which reuses the replay's energy measure and member maxima."""
+    u = np.asarray(u, dtype=float)
+    gamma = df.energy_measure(space.graph, u).density
+    return df._two_point(u, x, y, psi(R), df.truncated_maximal(space, gamma, x, R),
+                         df.truncated_maximal(space, gamma, y, R))
+
+
 def test_two_point_check_linear_function():
     form = df.path_graph(11)
     u = np.arange(11.0)
-    rep = df.two_point_check(sp.space_from_graph(form), power_scale(2.0), u, 0, 10, R=20.0)
+    rep = two_point_check(sp.space_from_graph(form), power_scale(2.0), u, 0, 10, R=20.0)
     assert rep["lhs"] == pytest.approx(100.0)
     assert rep["rhs_core"] > 0
     assert rep["ratio"] == pytest.approx(rep["lhs"] / rep["rhs_core"])

@@ -12,6 +12,7 @@ import chainkit.space as sp
 from chainkit.dirichlet import path_graph
 from chainkit.heat import sierpinski_gasket_graph
 from chainkit.scale import power_scale
+from test_dirichlet import two_point_check
 
 
 def unit_line(n=11):
@@ -264,7 +265,7 @@ def test_proof_replay_catches_a_hop_count_jump(monkeypatch):
 
     def bumped(self, sources, weighted=True):
         dist, pred = shortest_paths(self, sources, weighted)
-        dist[50] += 2
+        dist[0, 50] += 2  # the one source's row of the replay's 2-D search
         return dist, pred
 
     monkeypatch.setattr(ch.ProximityIndex, "shortest_paths", bumped)
@@ -325,7 +326,7 @@ def test_replay_computes_the_energy_measure_once(monkeypatch):
     rep = nt.proof_replay(space, power_scale(2.0), 0, 40, 6.0)
     assert len(calls) == 1
     # the record built from the member maxima is the stand-alone check's
-    assert rep.two_point == df.two_point_check(space, power_scale(2.0), rep.u, 0, 40, 80.0)
+    assert rep.two_point == two_point_check(space, power_scale(2.0), rep.u, 0, 40, 80.0)
 
 
 # The member loops the proof replay used to run, kept as its reference.  The
