@@ -32,7 +32,10 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _floats(text: str) -> list[float]:
-    return [float(v) for v in text.split(",") if v]
+    values = [float(v) for v in text.split(",") if v]
+    if not values:
+        raise argparse.ArgumentTypeError(f"expected comma-separated numbers; got {text!r}")
+    return values
 
 
 def _ints(text: str) -> list[int]:
@@ -238,6 +241,8 @@ def cmd_gasket(args) -> int:
 def cmd_scale(args) -> int:
     psi = parse_psi_spec(args.psi)
     if args.action == "regularity":
+        if args.window is not None and len(args.window) != 2:
+            raise UsageError("--window takes r_min,r_max")
         cert = verify_regularity(psi, args.window or [1e-2, 1e2])
         print(dumps(cert))
         return 0 if cert["ok"] else 2

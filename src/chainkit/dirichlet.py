@@ -224,39 +224,31 @@ def truncated_maximal(space, nu: np.ndarray, x, R: float):
     return float(out[0]) if np.ndim(x) == 0 else out
 
 
-def poincare_constant(form: GraphDirichletForm, psi, x: int, r: float) -> float:
+def poincare_constant(space, psi, x: int, r: float) -> float:
     """Optimal constant C in int_{B(x,r)} (f - fbar)^2 dm <= C Psi(r) Gamma(f,f)(B(x,2r)).
 
-    Computed as the largest eigenvalue of the variance form against the
-    induced Dirichlet form on B(x, 2r), divided by Psi(r).  Returns 0 when
-    the inner ball is a single vertex.
+    The balls are the graph-backed ``space``'s own; the constant is the
+    largest eigenvalue of the variance form against the induced Dirichlet
+    form on B(x, 2r), divided by Psi(r).  Both forms vanish on constants, so
+    adding 1 1^T to the energy makes it definite without changing any ratio.
+    Returns 0 when the inner ball is a single vertex.
     """
-    dist = form.geodesic_distances()
-    inner = np.flatnonzero(dist[x] < r)
-    outer = np.flatnonzero(dist[x] < 2.0 * r)
+    if space.graph is None:
+        raise DirichletFormError("the Poincare constant needs a graph-backed space")
+    inner = np.flatnonzero(space.dist[x] < r)
+    outer = np.flatnonzero(space.dist[x] < 2.0 * r)
     if inner.size <= 1:
         return 0.0
-    W = form.conductances[np.ix_(outer, outer)]
+    W = space.graph.conductances[np.ix_(outer, outer)]
     ncomp, _ = csgraph.connected_components(W, directed=False)
     if ncomp != 1:
         raise DirichletFormError("B(x, 2r) is disconnected in the graph")
-    deg = np.asarray(W.sum(axis=1)).ravel()
-    L = np.diag(deg) - W.toarray()
-
-    m_in = form.vertex_measure[inner]
-    # variance quadratic form on the inner ball, expressed on outer coordinates
-    P = np.zeros((inner.size, outer.size))
-    P[np.arange(inner.size), np.searchsorted(outer, inner)] = 1.0
-    mean_w = m_in / m_in.sum()
-    Pc = P - mean_w[None, :] @ P  # subtract m-weighted ball average
-    Q = Pc.T @ (m_in[:, None] * Pc)
-
-    lam, V = eigh(L)
-    nz = lam > lam[-1] * 1e-12 + 1e-15
-    S = V[:, nz] / np.sqrt(lam[nz])
-    M = S.T @ Q @ S
-    mu_max = float(eigh(M, eigvals_only=True)[-1])
-    return mu_max / psi(r)
+    L = np.diag(np.asarray(W.sum(axis=1)).ravel()) - W.toarray()
+    # variance form diag(m) - m m^T / m(B) on the inner ball, in outer coordinates
+    m = np.zeros(outer.size)
+    m[np.searchsorted(outer, inner)] = space.measure[inner]
+    Q = np.diag(m) - np.outer(m, m) / m.sum()
+    return float(eigh(Q, L + 1.0, eigvals_only=True)[-1]) / psi(r)
 
 
 def _two_point(u: np.ndarray, x: int, y: int, psi_R: float, Mx: float, My: float) -> dict:

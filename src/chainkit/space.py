@@ -1,9 +1,9 @@
 """Finite metric measure spaces: construction, balls, volumes, diagnostics.
 
 Balls are always open: B(x, r) = {y : d(x, y) < r}.  All suprema over a
-continuous radius are replaced by scans over the critical set of distinct
-pairwise distances, where the relevant step functions actually change; the
-scans are therefore exact, not approximate.
+continuous radius are replaced by scans over the distinct distances (from
+a centre, or between any two points) where the relevant step functions
+actually change; the scans are therefore exact, not approximate.
 """
 
 from __future__ import annotations
@@ -181,32 +181,32 @@ def sorted_profiles(rows: np.ndarray, *weights: np.ndarray) -> tuple[np.ndarray,
 
 
 def doubling_constant(space: FiniteMetricMeasureSpace) -> float:
-    """sup over x and critical radii r of m(B(x,2r)) / m(B(x,r)).
+    """sup over x and r > 0 of m(B(x,2r)) / m(B(x,r)).
 
-    V(x, .) is a step function changing only at distances from x, so scanning
-    r over half the distinct distances (and the distances themselves) is exact.
+    V(x, .) and V(x, 2 .) change only where r or 2r meets a distance from x,
+    and the worst ratio on each constancy interval is realized at its left
+    end +, so scanning r over x's own distances and their halves is exact.
     """
     if space.n == 0:
         raise SpaceError("space is empty")
-    pos = space.critical_radii()
-    # the ratio changes only when r or 2r crosses a distance value, and the
-    # worst ratio on each constancy interval is realized at its left end +
-    candidates = np.union1d(pos / 2.0, pos)
     best = 1.0
     for x in range(space.n):
         radii, vol = distance_profile(space.dist[x], space.measure)
+        r = np.r_[radii, radii / 2]
         # realize balls at radius r+: {dist <= r}
-        i_r = np.searchsorted(radii, candidates, side="right") - 1
-        i_2r = np.searchsorted(radii, 2 * candidates, side="right") - 1
+        i_r = np.searchsorted(radii, r, side="right") - 1
+        i_2r = np.searchsorted(radii, 2 * r, side="right") - 1
         best = float(np.max(vol[i_2r] / vol[i_r], initial=best))
     return best
 
 
 def uniform_perfectness(space: FiniteMetricMeasureSpace) -> dict:
-    """Check B(x,r) != X implies B(x,r) \\ B(x, r/2) nonempty at all critical scales.
+    """Check B(x,r) != X implies B(x,r) \\ B(x, r/2) nonempty at every scale.
 
-    Also reports the best (largest annulus) constant C for which the check
-    holds with r/C at every tested scale.
+    Between consecutive distinct distances lo < hi from x the annulus
+    [r/2, r) of a proper ball is empty exactly for 2 lo < r <= hi, so the
+    check fails iff some hi > 2 lo; the largest r / lo over proper balls,
+    hi / lo, is the best constant C for which it holds with r/C.
     """
     if space.n < 2:
         raise SpaceError("uniform perfectness needs at least two points")
@@ -214,20 +214,15 @@ def uniform_perfectness(space: FiniteMetricMeasureSpace) -> dict:
     required_C = 1.0
     for x in range(space.n):
         pos = distance_profile(space.dist[x])[0][1:]  # r_0 = d(x, x) = 0
-        # the predicate changes only when r or r/2 crosses a distance value
-        breaks = np.union1d(pos, 2 * pos)
-        mids = 0.5 * (breaks[:-1] + breaks[1:])
-        r = np.union1d(breaks, mids)
-        r = r[(r > pos[0]) & (r <= pos[-1])]
-        # |{pos < r}| >= 1 since r > pos[0]; the annulus [r/2, r) holds
-        # |{pos < r}| - |{pos < r/2}| distances
-        inside = np.searchsorted(pos, r, side="left")
-        proper = inside < pos.size  # B(x, r) != X
-        empty = proper & (inside == np.searchsorted(pos, r / 2, side="left"))
-        if worst is None and empty.any():
-            worst = (x, float(r[np.argmax(empty)]))
-        if proper.any():
-            required_C = max(required_C, float(np.max(r[proper] / pos[inside[proper] - 1])))
+        lo, hi = pos[:-1], pos[1:]
+        gap = hi > 2 * lo
+        if worst is None and gap.any():
+            k = np.argmax(gap)
+            # the first empty scale: the gap's midpoint, or its end hi when
+            # the midpoint rounds down onto 2 lo
+            mid = 0.5 * (2 * lo[k] + hi[k])
+            worst = (x, float(mid if mid > 2 * lo[k] else hi[k]))
+        required_C = float(np.max(hi / lo, initial=required_C))
     return {"holds_at_2": worst is None, "worst_scale": worst, "required_C": required_C}
 
 

@@ -386,6 +386,25 @@ def test_nan_and_infinite_inputs_are_errors(argv, message, line_space, path_csv,
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["chain", "--space", "{line}", "--eps", ","], "expected comma-separated numbers"),
+    (["heat", "--graph", "{path}", "--times", ","], "expected comma-separated numbers"),
+    (["scale", "regularity", "--psi", "power:2", "--window", ","],
+     "expected comma-separated numbers"),
+    (["scale", "regularity", "--psi", "power:2", "--window", "1"], "--window takes r_min,r_max"),
+    (["scale", "regularity", "--psi", "power:2", "--window", "1,2,3"],
+     "--window takes r_min,r_max"),
+])
+def test_empty_or_misshapen_number_lists_are_usage_errors(argv, message, line_space, path_csv,
+                                                          capsys):
+    # an empty --eps or --times wrote an empty report and an empty --window fell
+    # back to the default window, all with exit 0; a --window of one or three
+    # values failed with Python's unpacking message
+    assert main([a.format(line=line_space, path=path_csv) for a in argv]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and message in captured.err
+
+
 def test_heat_subcommand_writes_csv(path_csv, tmp_path, capsys):
     out_csv = tmp_path / "kernels.csv"
     assert main(["heat", "--graph", path_csv, "--times", "1,10",

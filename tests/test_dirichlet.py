@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sps
 from hypothesis import given, settings, strategies as st
+from scipy.linalg import eigh
 
 import chainkit.dirichlet as df
 import chainkit.space as sp
@@ -119,14 +120,64 @@ def test_truncated_maximal_equals_reference_on_tied_distances(seed, level):
 def test_poincare_constant_single_edge():
     # one unit edge, m = (1,1), psi = r^2, r = 1.5 (both vertices inside):
     # sup Var_m(f)/E(f) = 1/2 over the edge, so the constant is psi-normalized
-    form = two_vertex()
-    c = df.poincare_constant(form, power_scale(2.0), 0, 1.5)
+    space = sp.space_from_graph(two_vertex())
+    c = df.poincare_constant(space, power_scale(2.0), 0, 1.5)
     assert c == pytest.approx(0.5 / 2.25, rel=1e-9)
 
 
 def test_poincare_constant_trivial_ball():
-    form = df.path_graph(5)
-    assert df.poincare_constant(form, power_scale(2.0), 0, 0.5) == 0.0
+    space = sp.space_from_graph(df.path_graph(5))
+    assert df.poincare_constant(space, power_scale(2.0), 0, 0.5) == 0.0
+
+
+def _poincare_reference(form, psi, x, r):
+    # the variance form against the energy through the pseudo-inverse of the
+    # ball's Laplacian, on the form's geodesic balls
+    dist = form.geodesic_distances()
+    inner = np.flatnonzero(dist[x] < r)
+    outer = np.flatnonzero(dist[x] < 2.0 * r)
+    if inner.size <= 1:
+        return 0.0
+    W = form.conductances[np.ix_(outer, outer)]
+    L = np.diag(np.asarray(W.sum(axis=1)).ravel()) - W.toarray()
+    m_in = form.vertex_measure[inner]
+    P = np.zeros((inner.size, outer.size))
+    P[np.arange(inner.size), np.searchsorted(outer, inner)] = 1.0
+    Pc = P - (m_in / m_in.sum())[None, :] @ P
+    Q = Pc.T @ (m_in[:, None] * Pc)
+    lam, V = eigh(L)
+    nz = lam > lam[-1] * 1e-12 + 1e-15
+    S = V[:, nz] / np.sqrt(lam[nz])
+    return float(eigh(S.T @ Q @ S, eigvals_only=True)[-1]) / psi(r)
+
+
+@pytest.mark.parametrize("x", [0, 7, 40])
+def test_poincare_constant_matches_pseudo_inverse_reference(x):
+    form = sierpinski_gasket_graph(4)
+    space, psi = sp.space_from_graph(form), power_scale(2.0)
+    for r in (2.0, 4.0, 8.0):
+        expected = _poincare_reference(form, psi, x, r)
+        assert expected > 0
+        assert df.poincare_constant(space, psi, x, r) == pytest.approx(expected, rel=1e-10)
+
+
+def test_poincare_constant_reads_the_space_balls():
+    # the same graph with every distance doubled: B'(x, 2r) = B(x, r), so
+    # PI'(2r) Psi(2r) = PI(r) Psi(r)
+    form = sierpinski_gasket_graph(3)
+    space, psi = sp.space_from_graph(form), power_scale(2.0)
+    doubled = sp.FiniteMetricMeasureSpace(2 * space.dist, space.measure, graph=form)
+    for x, r in ((0, 2.0), (5, 3.0), (11, 4.0)):
+        here = df.poincare_constant(space, psi, x, r) * psi(r)
+        there = df.poincare_constant(doubled, psi, x, 2 * r) * psi(2 * r)
+        assert here > 0
+        assert there == pytest.approx(here, rel=1e-12)
+
+
+def test_poincare_constant_needs_a_graph():
+    line = sp.build_space({"type": "euclidean", "coords": [0.0, 1.0, 2.0]})
+    with pytest.raises(df.DirichletFormError, match="graph"):
+        df.poincare_constant(line, power_scale(2.0), 0, 1.5)
 
 
 def two_point_check(space, psi, u: np.ndarray, x: int, y: int, R: float) -> dict:

@@ -5,7 +5,7 @@ import networkx as nx
 import numpy as np
 import pytest
 import scipy.sparse as sps
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 import chainkit.space as sp
 from chainkit.dirichlet import GraphDirichletForm, path_graph
@@ -178,18 +178,31 @@ def _perfectness_loop(space):
     return {"holds_at_2": holds, "worst_scale": worst, "required_C": required_C}
 
 
-@given(st.integers(2, 10), st.integers(0, 10 ** 6), st.sampled_from([None, 3.0]),
-       st.sampled_from([1.0, 100.0]))
-@settings(max_examples=60, deadline=None)
-def test_uniform_perfectness_matches_loop(n, seed, beta, spread):
+def _random_spec(n, seed, beta, spread):
     rng = np.random.default_rng(seed)
     # scaling a random subset of the points by `spread` makes empty annuli likely
     pts = rng.uniform(0, 1, (n, 2)) * rng.choice([1.0, spread], (n, 1))
     spec = {"type": "euclidean", "coords": pts.tolist()}
     if beta is not None:
         spec.update(type="snowflake", beta=beta)
+    return spec
+
+
+# from 0 the gap (1, 2+) has midpoint 0.5 * (2 + 2+), which rounds to 2 = 2 * 1:
+# the first empty annulus is at r = 2+, not at the midpoint
+FLOAT_EDGE = {"type": "euclidean", "coords": [0.0, 1.0, float(np.nextafter(2.0, np.inf))]}
+
+
+@given(st.builds(_random_spec, st.integers(2, 10), st.integers(0, 10 ** 6),
+                 st.sampled_from([None, 3.0]), st.sampled_from([1.0, 100.0])))
+@example(FLOAT_EDGE)
+@settings(max_examples=60, deadline=None)
+def test_uniform_perfectness_matches_loop(spec):
     space = sp.build_space(spec)
-    assert sp.uniform_perfectness(space) == _perfectness_loop(space)
+    rep = sp.uniform_perfectness(space)
+    assert rep == _perfectness_loop(space)
+    if spec is FLOAT_EDGE:
+        assert rep["worst_scale"] == (0, 2.0000000000000004)
 
 
 def test_volume_profile_matches_ball_volume():
