@@ -184,7 +184,7 @@ def cmd_replay(args) -> int:
         "partition_constant": rep.partition_constant,
     }
     _emit(args, payload)
-    return 0
+    return 0 if rep.lipschitz_ok else 2
 
 
 def cmd_dirichlet(args) -> int:
@@ -275,6 +275,9 @@ def main(argv=None) -> int:
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except AssertionError as exc:  # an internal check of the replay failed
+        print(f"check failed: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -51,7 +51,7 @@ class GraphDirichletForm:
     conductances: sp.csr_matrix
     vertex_measure: np.ndarray
     lengths: sp.csr_matrix | None = None
-    _dist: np.ndarray | None = field(default=None, repr=False)
+    _dist: np.ndarray | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         w = sp.csr_matrix(self.conductances)

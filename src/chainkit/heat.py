@@ -318,7 +318,7 @@ def generalized_estimate_eval(table: HeatKernelTable, space, psi, phi,
     eps = epsilon_of_t(space, psi, x, y, t)
     d_eps, _ = chain_metric(space, eps, x, y)
     p = float(table.kernel_at(t)[x, y])
-    V = ball_volume(space, x, psi.inverse(t) if hasattr(psi, "inverse") else t)
+    V = ball_volume(space, x, psi.inverse(t))
     exponent = t * phi(d_eps / t)
     return {"p": p, "volume": V, "epsilon": float(eps), "d_eps": float(d_eps),
             "exponent": float(exponent), "prefactor": p * V}

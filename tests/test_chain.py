@@ -15,10 +15,7 @@ from chainkit.cli import main
 from chainkit.dirichlet import path_graph
 from chainkit.heat import sierpinski_gasket_graph
 from chainkit.scale import ScaleError, piecewise_scale, power_scale, tabulated_scale
-
-
-def unit_line(n=11):
-    return sp.build_space({"type": "euclidean", "coords": np.arange(float(n)).tolist()})
+from oracles import unit_line
 
 
 def snowflake_grid(beta=3.0, n=11):
@@ -644,109 +641,6 @@ def test_epsilon_of_t_below_resolution():
         ch.epsilon_of_t(space, psi, 0, 10, math.nan)
 
 
-def reference_epsilon_of_t(space, psi, x, y, t):
-    """The per-interval scan epsilon_of_t used to run, kept as its reference."""
-    if t <= 0:
-        raise ch.ChainError("t must be positive")
-    if x == y:
-        raise ch.ChainError("epsilon_of_t requires x != y")
-    diam = space.diameter()
-    breaks, values = ch.d_eps_step_function(space, x, y)
-
-    def F(eps, L):
-        return psi(eps) / eps * L
-
-    for k in range(breaks.size - 1, -1, -1):
-        lo = breaks[k]
-        hi = breaks[k + 1] if k + 1 < breaks.size else diam
-        if hi <= lo:
-            hi = lo  # top interval degenerates when breaks[-1] == diam
-        L = values[k]
-        if math.isinf(L):
-            continue
-        if hi > lo and F(hi, L) <= t:
-            return float(min(hi, diam))
-        if F(lo, L) >= t:  # limit from the right at lo
-            continue
-        if hi <= lo:
-            continue
-        a, b = lo, hi
-        for _ in range(200):
-            mid = 0.5 * (a + b)
-            if F(mid, L) <= t:
-                a = mid
-            else:
-                b = mid
-            if b - a <= 1e-15 * max(1.0, b):
-                break
-        return float(min(a, diam))
-    raise ch.ChainError("time below chain resolution: no eps satisfies the bound")
-
-
-def eot_outcome(fn, space, psi, x, y, t):
-    try:
-        return fn(space, psi, x, y, t)
-    except ch.ChainError as err:
-        return str(err)
-
-
-PSIS = {"power-1.5": power_scale(1.5), "power-2": power_scale(2.0),
-        "power-3": power_scale(3.0)}
-# psi(r)/r falls on (0.5, 2]: F need not be monotone inside an interval of
-# d_eps, which the interval scan above misses
-PIECEWISE = piecewise_scale([0.5, 2.0], [2.0, 0.6, 3.0])
-# the same psi as a table: log-log interpolation is exact between its knots
-TABLE_R = np.array([1e-9, 0.5, 2.0, 1e3])
-KNOTTED = {"piecewise": PIECEWISE,
-           "table": tabulated_scale(TABLE_R, PIECEWISE(TABLE_R), 0.6, 3.0, 1.0)}
-
-
-def eot_times(space, psi, x, y, data):
-    """Times exactly at F(lo) or F(hi) of a finite interval, and one between."""
-    breaks, values = ch.d_eps_step_function(space, x, y)
-    finite = np.flatnonzero(np.isfinite(values[:-1]))
-    if not finite.size:
-        return [1.0]
-    k = int(data.draw(st.sampled_from(finite.tolist())))
-    at_lo = psi(breaks[k]) / breaks[k] * values[k]
-    at_hi = psi(breaks[k + 1]) / breaks[k + 1] * values[k]
-    return [at_lo, at_hi, at_lo * data.draw(st.floats(0.25, 4.0))]
-
-
-@given(st.sampled_from(["euclidean", "snowflake", "lattice"]), st.integers(2, 12),
-       st.integers(0, 10 ** 6), st.sampled_from(sorted(PSIS)), st.data())
-@settings(max_examples=150, deadline=None)
-def test_epsilon_of_t_matches_interval_scan(kind, n, seed, psi_name, data):
-    space = drawn_space(kind, n, seed)
-    psi = PSIS[psi_name]
-    x = data.draw(st.integers(0, n - 1))
-    y = data.draw(st.integers(0, n - 1).filter(lambda v: v != x))
-    for t in eot_times(space, psi, x, y, data):
-        assert (eot_outcome(ch.epsilon_of_t, space, psi, x, y, t)
-                == eot_outcome(reference_epsilon_of_t, space, psi, x, y, t))
-
-
-def test_epsilon_of_t_matches_interval_scan_on_resistance_gasket():
-    # effective resistance R = g_xx + g_yy - 2 g_xy from the Laplacian
-    # pseudo-inverse: 123 points with thousands of distinct distances
-    form = sierpinski_gasket_graph(4)
-    g = np.linalg.pinv(form.laplacian().toarray())
-    R = np.diag(g)[:, None] + np.diag(g)[None, :] - 2 * g
-    R = np.maximum((R + R.T) / 2, 0.0)
-    np.fill_diagonal(R, 0.0)
-    space = sp.FiniteMetricMeasureSpace(R, np.ones(form.n))
-    assert space.n == 123
-    psi = power_scale(math.log(5) / math.log(5 / 3))
-    for y, q in ((1, 0.3), (2, 0.7), (60, 0.5), (122, 0.9)):
-        breaks, values = ch.d_eps_step_function(space, 0, y)
-        k = np.flatnonzero(np.isfinite(values[:-1]))
-        k = int(k[int(q * (k.size - 1))])
-        at_lo = psi(breaks[k]) / breaks[k] * values[k]
-        for t in (at_lo, at_lo * 1.37, at_lo * 1e-3):
-            assert (eot_outcome(ch.epsilon_of_t, space, psi, 0, y, t)
-                    == eot_outcome(reference_epsilon_of_t, space, psi, 0, y, t))
-
-
 def full_walk_epsilon_of_t(space, psi, x, y, t):
     """epsilon_of_t before it skipped intervals, kept as its reference: every
     step of d_eps from the top, psi called on each step's merged points."""
@@ -786,6 +680,63 @@ def eot_result(fn, space, psi, x, y, t):
         return fn(space, psi, x, y, t)
     except (ch.ChainError, ScaleError) as err:
         return type(err).__name__, str(err)
+
+
+PSIS = {"power-1.5": power_scale(1.5), "power-2": power_scale(2.0),
+        "power-3": power_scale(3.0)}
+# psi(r)/r falls on (0.5, 2]: F need not be monotone inside an interval of
+# d_eps, which a scan of the intervals' ends alone misses
+PIECEWISE = piecewise_scale([0.5, 2.0], [2.0, 0.6, 3.0])
+# the same psi as a table: log-log interpolation is exact between its knots
+TABLE_R = np.array([1e-9, 0.5, 2.0, 1e3])
+KNOTTED = {"piecewise": PIECEWISE,
+           "table": tabulated_scale(TABLE_R, PIECEWISE(TABLE_R), 0.6, 3.0, 1.0)}
+
+
+def eot_times(space, psi, x, y, data):
+    """Times exactly at F(lo) or F(hi) of a finite interval, and one between."""
+    breaks, values = ch.d_eps_step_function(space, x, y)
+    finite = np.flatnonzero(np.isfinite(values[:-1]))
+    if not finite.size:
+        return [1.0]
+    k = int(data.draw(st.sampled_from(finite.tolist())))
+    at_lo = psi(breaks[k]) / breaks[k] * values[k]
+    at_hi = psi(breaks[k + 1]) / breaks[k + 1] * values[k]
+    return [at_lo, at_hi, at_lo * data.draw(st.floats(0.25, 4.0))]
+
+
+@given(st.sampled_from(["euclidean", "snowflake", "lattice"]), st.integers(2, 12),
+       st.integers(0, 10 ** 6), st.sampled_from(sorted(PSIS)), st.data())
+@settings(max_examples=150, deadline=None)
+def test_epsilon_of_t_matches_interval_scan(kind, n, seed, psi_name, data):
+    space = drawn_space(kind, n, seed)
+    psi = PSIS[psi_name]
+    x = data.draw(st.integers(0, n - 1))
+    y = data.draw(st.integers(0, n - 1).filter(lambda v: v != x))
+    for t in eot_times(space, psi, x, y, data):
+        assert (eot_result(ch.epsilon_of_t, space, psi, x, y, t)
+                == eot_result(full_walk_epsilon_of_t, space, psi, x, y, t))
+
+
+def test_epsilon_of_t_matches_interval_scan_on_resistance_gasket():
+    # effective resistance R = g_xx + g_yy - 2 g_xy from the Laplacian
+    # pseudo-inverse: 123 points with thousands of distinct distances
+    form = sierpinski_gasket_graph(4)
+    g = np.linalg.pinv(form.laplacian().toarray())
+    R = np.diag(g)[:, None] + np.diag(g)[None, :] - 2 * g
+    R = np.maximum((R + R.T) / 2, 0.0)
+    np.fill_diagonal(R, 0.0)
+    space = sp.FiniteMetricMeasureSpace(R, np.ones(form.n))
+    assert space.n == 123
+    psi = power_scale(math.log(5) / math.log(5 / 3))
+    for y, q in ((1, 0.3), (2, 0.7), (60, 0.5), (122, 0.9)):
+        breaks, values = ch.d_eps_step_function(space, 0, y)
+        k = np.flatnonzero(np.isfinite(values[:-1]))
+        k = int(k[int(q * (k.size - 1))])
+        at_lo = psi(breaks[k]) / breaks[k] * values[k]
+        for t in (at_lo, at_lo * 1.37, at_lo * 1e-3):
+            assert (eot_result(ch.epsilon_of_t, space, psi, 0, y, t)
+                    == eot_result(full_walk_epsilon_of_t, space, psi, 0, y, t))
 
 
 @given(st.sampled_from(["euclidean", "snowflake", "lattice"]), st.integers(2, 12),

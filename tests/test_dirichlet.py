@@ -10,11 +10,7 @@ import chainkit.dirichlet as df
 import chainkit.space as sp
 from chainkit.heat import sierpinski_gasket_graph
 from chainkit.scale import power_scale
-
-
-def two_vertex(w=1.0):
-    return df.GraphDirichletForm(
-        sps.csr_matrix(np.array([[0.0, w], [w, 0.0]])), np.ones(2))
+from oracles import energy_by_tocoo, truncated_maximal_reference, two_point_check, two_vertex
 
 
 def test_form_validation():
@@ -23,6 +19,8 @@ def test_form_validation():
         df.GraphDirichletForm(asym, np.ones(2))
     with pytest.raises(df.DirichletFormError):
         df.GraphDirichletForm(two_vertex().conductances, np.array([1.0, 0.0]))
+    with pytest.raises(TypeError, match="_dist"):  # the geodesic cache is no argument
+        df.GraphDirichletForm(two_vertex().conductances, np.ones(2), _dist=np.zeros((2, 2)))
 
 
 @pytest.mark.parametrize("length", [-1.0, 0.0])
@@ -90,16 +88,6 @@ def test_truncated_maximal_hand_value():
             df.truncated_maximal(space, nu, 0, R)
 
 
-def _truncated_maximal_reference(space, nu, x, R):
-    # an independent scan: argsort, two cumulative sums and a last-of-ties mask
-    order = np.argsort(space.dist[x])
-    d_sorted = space.dist[x, order]
-    nu_cum = np.cumsum(nu[order])
-    m_cum = np.cumsum(space.measure[order])
-    sel = (d_sorted < R) & np.r_[d_sorted[1:] != d_sorted[:-1], True]
-    return float(np.max(nu_cum[sel] / m_cum[sel])) if sel.any() else 0.0
-
-
 @given(st.integers(0, 10 ** 6), st.sampled_from([2, 3]))
 @settings(max_examples=25, deadline=None)
 def test_truncated_maximal_equals_reference_on_tied_distances(seed, level):
@@ -111,7 +99,7 @@ def test_truncated_maximal_equals_reference_on_tied_distances(seed, level):
     nu = rng.uniform(0.0, 2.0, gasket.n)
     centres = rng.integers(0, gasket.n, 4)
     for R in (0.5, 1.0, 2.5, 4.0, 100.0):
-        expected = [_truncated_maximal_reference(space, nu, x, R) for x in centres.tolist()]
+        expected = [truncated_maximal_reference(space, nu, x, R) for x in centres.tolist()]
         assert [df.truncated_maximal(space, nu, x, R) for x in centres.tolist()] == expected
         # an array of centres gives the same values, one per centre
         assert df.truncated_maximal(space, nu, centres, R).tolist() == expected
@@ -178,16 +166,6 @@ def test_poincare_constant_needs_a_graph():
     line = sp.build_space({"type": "euclidean", "coords": [0.0, 1.0, 2.0]})
     with pytest.raises(df.DirichletFormError, match="graph"):
         df.poincare_constant(line, power_scale(2.0), 0, 1.5)
-
-
-def two_point_check(space, psi, u: np.ndarray, x: int, y: int, R: float) -> dict:
-    """|u(x)-u(y)|^2 against Psi(R) * (M_R Gamma(u,u)(x) + M_R Gamma(u,u)(y)) on a
-    graph-backed space, from u alone: the oracle for the proof replay's two-point
-    record, which reuses the replay's energy measure and member maxima."""
-    u = np.asarray(u, dtype=float)
-    gamma = df.energy_measure(space.graph, u).density
-    return df._two_point(u, x, y, psi(R), df.truncated_maximal(space, gamma, x, R),
-                         df.truncated_maximal(space, gamma, y, R))
 
 
 def test_two_point_check_linear_function():
@@ -372,12 +350,6 @@ def test_capacity_monotone_in_conductance(n, seed):
     cap1, _ = df.capacity(form, [0], [n - 1])
     cap2, _ = df.capacity(form2, [0], [n - 1])
     assert cap2 == pytest.approx(2 * cap1, rel=1e-9)
-
-
-def energy_by_tocoo(form, f):
-    # the former energy, which built a COO copy of the conductances per call
-    w = form.conductances.tocoo()
-    return 0.5 * float(np.sum(w.data * (f[w.row] - f[w.col]) ** 2))
 
 
 def energy_density_by_tocoo(form, f):

@@ -17,11 +17,7 @@ from chainkit.dirichlet import (
     path_graph,
 )
 from chainkit.scale import PhiTransform, power_scale
-
-
-def two_vertex():
-    return GraphDirichletForm(
-        sps.csr_matrix(np.array([[0.0, 1.0], [1.0, 0.0]])), np.ones(2))
+from oracles import two_vertex
 
 
 def test_two_vertex_kernel_closed_form():
@@ -459,7 +455,8 @@ def test_generalized_estimate_eval_gaussian_reduction():
     # geodesic space: d_eps = d, so the exponent is t * (d/t)^2 / 4 = d^2/(4t)
     assert rep["d_eps"] == pytest.approx(10.0)
     assert rep["exponent"] == pytest.approx(100.0 / 80.0)
-    assert rep["p"] > 0 and rep["volume"] > 0
+    assert rep["p"] > 0
+    assert rep["volume"] == 9.0  # V(0, psi^-1(20)): the 9 vertices within sqrt(20)
 
 
 def test_gasket_counts():

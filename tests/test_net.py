@@ -1,3 +1,4 @@
+import json
 import tracemalloc
 
 import numpy as np
@@ -9,14 +10,11 @@ import chainkit.chain as ch
 import chainkit.dirichlet as df
 import chainkit.net as nt
 import chainkit.space as sp
+from chainkit.cli import main
 from chainkit.dirichlet import path_graph
 from chainkit.heat import sierpinski_gasket_graph
 from chainkit.scale import power_scale
-from test_dirichlet import two_point_check
-
-
-def unit_line(n=11):
-    return sp.build_space({"type": "euclidean", "coords": np.arange(float(n)).tolist()})
+from oracles import energy_by_tocoo, truncated_maximal_reference, two_point_check, unit_line
 
 
 def test_build_net_greedy_on_line():
@@ -258,9 +256,9 @@ def test_proof_replay_frozen_values():
     assert rep.u[100] == pytest.approx(20.0, abs=1e-12)
 
 
-def test_proof_replay_catches_a_hop_count_jump(monkeypatch):
+def test_proof_replay_catches_a_hop_count_jump(monkeypatch, tmp_path, capsys):
     # two extra hops at member 50 make |u_hat(50) - u_hat(48)| = 2 although
-    # d(48, 50) = 2 < eps
+    # d(48, 50) = 2 < eps: the replay reports it, and both commands exit 2
     shortest_paths = ch.ProximityIndex.shortest_paths
 
     def bumped(self, sources, weighted=True):
@@ -270,8 +268,37 @@ def test_proof_replay_catches_a_hop_count_jump(monkeypatch):
 
     monkeypatch.setattr(ch.ProximityIndex, "shortest_paths", bumped)
     space = sp.space_from_graph(path_graph(101))
-    with pytest.raises(AssertionError, match="unit-Lipschitz"):
-        nt.proof_replay(space, power_scale(2.0), 0, 100, 6.0)
+    assert nt.proof_replay(space, power_scale(2.0), 0, 100, 6.0).lipschitz_ok is False
+    graph = tmp_path / "p101.csv"
+    df.save_graph_csv(path_graph(101), graph)
+    assert main(["replay", "--graph", str(graph), "--psi", "power:2",
+                 "--x", "0", "--y", "100", "--eps", "6"]) == 2
+    assert json.loads(capsys.readouterr().out)["lipschitz_ok"] is False
+    assert main(["--json-only", "verify-all", "--suite", "replay"]) == 2
+    # the jump of u at 50 also lifts Psi(eps) * max M from 18 to 72
+    checks = json.loads(capsys.readouterr().out)["checks"]
+    assert [c["name"] for c in checks if not c["ok"]] == [
+        "unit-Lipschitz chain counts on eps-close members",
+        "Psi(eps) * max maximal function <= 50.0"]
+
+
+def test_a_failed_plateau_check_exits_2(monkeypatch, tmp_path, capsys):
+    # halve the last member's row after its own verify: u = u_hat(100) / 2
+    # on that member's plateau
+    build_partition = nt.build_partition
+
+    def halved(space, net):
+        pou = build_partition(space, net)
+        lo, hi = pou.psi.indptr[-2:]
+        pou.psi.data[lo:hi] /= 2
+        return pou
+
+    monkeypatch.setattr(nt, "build_partition", halved)
+    graph = tmp_path / "p101.csv"
+    df.save_graph_csv(path_graph(101), graph)
+    assert main(["replay", "--graph", str(graph), "--psi", "power:2",
+                 "--x", "0", "--y", "100", "--eps", "6"]) == 2
+    assert capsys.readouterr().err == "check failed: u does not equal u_hat on the plateau\n"
 
 
 @pytest.mark.parametrize("x, y, message", [(-1, 10, "unknown point id -1"),
@@ -332,19 +359,6 @@ def test_replay_computes_the_energy_measure_once(monkeypatch):
 # The member loops the proof replay used to run, kept as its reference.  The
 # array passes must reproduce them bit for bit, so every comparison is exact.
 
-def loop_energy(form, f):
-    w = form.edges
-    return 0.5 * float(np.sum(w.data * (f[w.row] - f[w.col]) ** 2))
-
-
-def loop_truncated_maximal(space, nu, x, R):
-    order = np.argsort(space.dist[x])
-    d = space.dist[x][order]
-    last = np.r_[d[1:] != d[:-1], True]
-    k = np.searchsorted(d[last], R)
-    return float(np.max((np.cumsum(nu[order])[last] / np.cumsum(space.measure[order])[last])[:k]))
-
-
 def loop_voronoi(net):
     mem = np.asarray(sorted(net.members))
     owner = mem[np.argmin(net.space.dist[:, mem], axis=1)]
@@ -367,8 +381,7 @@ def loop_partition(space, net):
         phis[z] = np.clip(1.0 - d_cell / (eps / 4.0), 0.0, 1.0)
     denom = sum(phis.values())
     psis = {z: phi / denom for z, phi in phis.items()}
-    assert loop_verify_error(net, psis) is None
-    return psis, {z: loop_energy(space.graph, psi) for z, psi in psis.items()}
+    return psis, {z: energy_by_tocoo(space.graph, psi) for z, psi in psis.items()}
 
 
 def loop_energy_report(space, net, energies, psi_scale):
@@ -393,13 +406,14 @@ def loop_replay(space, psi_scale, x, y, epsilon):
     assert np.array_equal(net.voronoi, loop_voronoi(net))
     u_hat = {z: int(hops[z]) for z in net.members}
     psis, energies = loop_partition(space, net)
+    assert loop_verify_error(net, psis) is None
     u = sum(u_hat[z] * psis[z] for z in net.members)
     gamma = df.energy_measure(space.graph, u).density
     for z in sorted(net.members):
         plateau = space.dist[z] < eps_prime / 4
         assert np.allclose(u[plateau], u_hat[z], rtol=0, atol=1e-9)
     R = 2.0 * d_xy
-    M = {z: loop_truncated_maximal(space, gamma, z, R) for z in sorted(net.members)}
+    M = {z: truncated_maximal_reference(space, gamma, z, R) for z in sorted(net.members)}
     n_eps_xy = u_hat[y]
     recovered = (n_eps_xy ** 2) * psi_scale(epsilon) / psi_scale(d_xy)
     report = loop_energy_report(space, net, energies, psi_scale)
@@ -506,37 +520,6 @@ def test_partition_verify_raises_the_member_loops_message(seed, changes, delta):
         assert str(err.value) == expected
 
 
-# The dense partition of unity, its net-order blend and the whole-block
-# nearest-member owner the net code used to compute, kept as references: the
-# CSR build and the blocked nearest-member pass must reproduce them bit for bit.
-
-def dense_owner(net):
-    mem = np.asarray(sorted(net.members))
-    near = net.space.dist[mem]
-    return mem[np.argmax(near == near.min(axis=0), axis=0)]
-
-
-def dense_partition(space, net):
-    """The (members x n) bumps from the cell rows, one axis-0 sum of the
-    whole array in member order, then the division."""
-    eps, owner = net.epsilon, net.voronoi
-    mem = np.asarray(sorted(net.members))
-    order = np.argsort(owner, kind="stable")
-    cell = np.searchsorted(mem, owner[order])
-    rows = np.full((mem.size, np.bincount(cell).max()), -1)
-    rows[cell, np.arange(space.n) - np.searchsorted(cell, cell)] = order
-    rows = np.where(rows < 0, rows[:, :1], rows)
-    psi = space.dist[rows].min(axis=1)
-    psi /= eps / 4.0
-    np.clip(np.subtract(1.0, psi, out=psi), 0.0, 1.0, out=psi)
-    return psi / psi.sum(axis=0)
-
-
-def dense_u(net, u_hat, psi):
-    mem = sorted(net.members)
-    return sum(u_hat[z] * psi[np.searchsorted(mem, z)] for z in net.members)
-
-
 def has_ties(net):
     near = net.space.dist[sorted(net.members)]
     return ((near == near.min(axis=0)).sum(axis=0) > 1).any()
@@ -562,18 +545,20 @@ def test_sparse_partition_and_blocked_owner_equal_the_dense_references(
     y = int(np.argmax(space.dist[x]))
     rep = nt.proof_replay(space, power_scale(2.0), x, y, eps)
     net = nt.build_net(space, eps / 3.0, include={x, y})
-    assert np.array_equal(net.voronoi, dense_owner(net))
+    assert np.array_equal(net.voronoi, loop_voronoi(net))
     assert np.array_equal(nt.voronoi_assign(net), net.voronoi)
     if case == "gasket-5":
         assert len(net.members) == space.n
     if case in ("path-41", "ties"):  # equidistant points go to the smallest member id
         assert has_ties(net)
     pou = nt.build_partition(space, net)
-    psi = dense_partition(space, net)
+    psis, energies = loop_partition(space, net)
+    psi = np.array(list(psis.values()))
     assert sps.isspmatrix_csr(pou.psi) and pou.psi.nnz == np.count_nonzero(psi)
     assert np.array_equal(pou.psi.toarray(), psi)
-    assert np.array_equal(pou.energies, df.energy(form, psi))
-    assert np.array_equal(rep.u, dense_u(net, rep.u_hat, psi))
+    assert np.array_equal(pou.energies, list(energies.values()))
+    # the blend in net order, as loop_replay adds it
+    assert np.array_equal(rep.u, sum(rep.u_hat[z] * psis[z] for z in net.members))
 
 
 def test_proof_replay_on_gasket_6_keeps_to_the_supports():

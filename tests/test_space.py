@@ -9,10 +9,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 import chainkit.space as sp
 from chainkit.dirichlet import GraphDirichletForm, path_graph
-
-
-def unit_line(n=11):
-    return sp.build_space({"type": "euclidean", "coords": np.arange(float(n)).tolist()})
+from oracles import unit_line
 
 
 def test_build_space_euclidean_2d():
