@@ -38,9 +38,10 @@ class ProximityIndex:
         if not epsilon > 0:  # NaN fails too
             raise ChainError("epsilon must be positive")
         adj = space.dist < epsilon
-        np.fill_diagonal(adj, False)  # CSR arrays straight from the mask, rows in order
-        indptr = np.r_[0, np.cumsum(np.count_nonzero(adj, axis=1))]
-        edges = sp.csr_matrix((space.dist[adj], np.nonzero(adj)[1], indptr), shape=adj.shape)
+        np.fill_diagonal(adj, False)
+        flat = np.flatnonzero(adj)  # one row-major read of the mask; row k starts at k n
+        indptr = np.searchsorted(flat, np.arange(space.n + 1) * space.n)
+        edges = sp.csr_matrix((space.dist.take(flat), flat % space.n, indptr), shape=adj.shape)
         return cls(space=space, epsilon=epsilon, edges=edges)
 
     def _narrowed(self, epsilon: float) -> "ProximityIndex":
@@ -117,7 +118,7 @@ def _shortest_chain(space, epsilon, x, y, index, weighted):
         index = ProximityIndex.build(space, epsilon)
     elif index.space is not space or index.epsilon != epsilon:
         raise ChainError("proximity index was built for another space or epsilon")
-    value = float if weighted else int
+    x, y, value = int(x), int(y), float if weighted else int
     if x == y:
         return value(0), [x]
     dist, pred = index.shortest_paths(x, weighted=weighted)
@@ -144,7 +145,7 @@ def analyze_pair(space: FiniteMetricMeasureSpace, epsilon: float, x: int,
         index = ProximityIndex.build(space, epsilon)
     d_eps, wm = chain_metric(space, epsilon, x, y, index)
     n_eps, wh = min_chain_count(space, epsilon, x, y, index)
-    analysis = ChainAnalysis(x=x, y=y, epsilon=epsilon, d_eps=d_eps,
+    analysis = ChainAnalysis(x=int(x), y=int(y), epsilon=epsilon, d_eps=d_eps,
                              n_eps=n_eps, witness_metric=wm, witness_hops=wh)
     analysis.verify(space)
     return analysis
@@ -209,9 +210,9 @@ def main_inequality_scan(space: FiniteMetricMeasureSpace, psi, pairs,
     are counted and skipped.  Also tabulates psi(eps) d_eps / eps per eps (the
     vanishing functional whose trend is reported, not its limit).
     """
-    pairs = np.asarray(pairs, dtype=int).reshape(-1, 2)
-    check_ids(space, pairs)
-    xs, ys = pairs.T
+    pairs = np.asarray(pairs).reshape(-1, 2)
+    check_ids(space, pairs)  # before the cast, which would truncate 3.7 to 3
+    xs, ys = pairs.astype(int, copy=False).T
     d = space.dist[xs, ys]
     worst = 0.0
     argmax = None
@@ -262,9 +263,9 @@ def chain_condition_estimate(space: FiniteMetricMeasureSpace, epsilons,
     """
     if pairs is None:
         pairs = np.transpose(np.triu_indices(space.n, 1))
-    pairs = np.asarray(pairs, dtype=int).reshape(-1, 2)
+    pairs = np.asarray(pairs).reshape(-1, 2)
     check_ids(space, pairs)
-    xs, ys = pairs.T
+    xs, ys = pairs.astype(int, copy=False).T
     xs, ys = xs[xs != ys], ys[xs != ys]
     d = space.dist[xs, ys]
 

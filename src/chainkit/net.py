@@ -65,11 +65,13 @@ def nearest_members(dist: np.ndarray, mem: np.ndarray) -> tuple[np.ndarray, np.n
 def close_pairs(dist: np.ndarray, ids, epsilon: float) -> np.ndarray:
     """Positions (i, j), i < j, of the pairs of ids closer than epsilon, in
     row-major order as the columns of a (2 x pairs) array; read from blocks
-    of rows of the (ids x ids) distances."""
-    ids = np.asarray(ids, dtype=int)
-    return np.concatenate([np.empty((0, 2), int)] + [
-        np.argwhere(np.triu(dist[np.ix_(ids[sl], ids)] < epsilon, sl.start + 1)) + (sl.start, 0)
-        for sl in df.row_blocks(ids.size, ids.size)]).T
+    of rows of the (ids x ids) distances, one row-major scan of each mask."""
+    ids, pairs = np.asarray(ids, dtype=int), [np.empty((2, 0), int)]
+    for sl in df.row_blocks(ids.size, ids.size):  # flat positions in the (ids x ids) mask
+        flat = np.flatnonzero(dist[np.ix_(ids[sl], ids)] < epsilon) + sl.start * ids.size
+        i, j = np.divmod(flat, ids.size)
+        pairs.append(np.stack([i[j > i], j[j > i]]))
+    return np.concatenate(pairs, axis=1)
 
 
 def build_net(space: FiniteMetricMeasureSpace, epsilon: float,
@@ -77,8 +79,9 @@ def build_net(space: FiniteMetricMeasureSpace, epsilon: float,
     """Greedy maximal eps-separated set, seeded with the forced members."""
     if not epsilon > 0:  # NaN fails too
         raise NetError("epsilon must be positive")
-    include = sorted(set(include)) if include else []
+    include = sorted(set(include)) if include is not None else []
     check_ids(space, *include)
+    include = [int(p) for p in include]
     i, j = close_pairs(space.dist, include, epsilon)
     if i.size:
         a, b = include[i[0]], include[j[0]]

@@ -137,14 +137,22 @@ def space_from_graph(form: GraphDirichletForm) -> FiniteMetricMeasureSpace:
 
 
 def check_ids(space: FiniteMetricMeasureSpace, *ids) -> None:
-    """SpaceError naming the first id outside 0..n-1; an array of ids is
-    checked in one pass, in row-major order."""
+    """SpaceError naming the first id that is not an integer or lies outside
+    0..n-1.  Bools and floats (2.0 too) are not ids.  An array of ids, unless
+    empty, must have an integer dtype (another names its first entry with a
+    fraction, else its first) and is checked in one pass, in row-major order."""
     for i in ids:
         if isinstance(i, np.ndarray):
+            if i.dtype.kind not in "iu" and i.size:
+                v = i.ravel()
+                k = np.argmax(v != np.trunc(v)) if v.dtype.kind == "f" else 0
+                raise SpaceError(f"point id {v[k]} is not an integer")
             ok = (i >= 0) & (i < space.n)
             if ok.all():
                 continue
             i = i.flat[np.argmin(ok)]
+        elif isinstance(i, (bool, np.bool_)) or not isinstance(i, (int, np.integer)):
+            raise SpaceError(f"point id {i} is not an integer")
         if not 0 <= i < space.n:
             raise SpaceError(f"unknown point id {i}")
 

@@ -9,6 +9,7 @@ import scipy.sparse.csgraph as csgraph
 from hypothesis import example, given, settings, strategies as st
 
 import chainkit.chain as ch
+import chainkit.net as nt
 import chainkit.space as sp
 from chainkit._report import dumps
 from chainkit.cli import main
@@ -129,6 +130,31 @@ def test_chain_condition_estimate_names_the_first_id_outside_the_space(pairs, ba
     # as the argmax (eps, 0, -1) when its ratio was the largest
     with pytest.raises(sp.SpaceError, match=f"unknown point id {bad}$"):
         ch.chain_condition_estimate(unit_line(5), [2.0], pairs)
+
+
+@pytest.mark.parametrize("call, bad", [
+    # each was a quietly wrong answer or an unrelated error
+    (lambda line: ch.main_inequality_scan(line, power_scale(2.0), [(0, 3.7)], [1.5]),
+     "3.7"),  # a table row for pair (0, 3)
+    (lambda line: ch.chain_condition_estimate(line, [1.5], pairs=[(0, 3.9)]), "3.9"),
+    (lambda line: ch.chain_metric(line, 1.5, 0, 2.0), "2.0"),  # IndexError
+    (lambda line: ch.chain_metric(line, 1.5, 0, True), "True"),  # ambiguous truth value
+    (lambda line: ch.min_chain_count(line, 1.5, np.bool_(False), 3), "False"),
+    (lambda line: nt.build_net(line, 1.5, include=[1.5]), "1.5"),  # IndexError
+    (lambda line: list(ch.pair_analyses(line, [1.5], np.array([0.0, 1.0]),
+                                        np.array([2.0, 4.0]))), "0.0"),  # IndexError
+    (lambda line: sp.ball(line, 2.5, 1.0), "2.5"),  # IndexError
+], ids=["scan", "condition", "metric-float", "metric-bool", "count-numpy-bool", "net-include",
+        "pair-analyses", "ball"])
+def test_an_id_that_is_not_an_integer_is_an_error(call, bad):
+    with pytest.raises(sp.SpaceError, match=f"^point id {bad} is not an integer$"):
+        call(unit_line(5))
+
+
+def test_an_empty_pair_list_is_accepted():
+    line = unit_line(5)
+    assert ch.main_inequality_scan(line, power_scale(2.0), [], [1.5])["skipped"] == 0
+    assert ch.chain_condition_estimate(line, [1.5], [])["K_hat"] == 1.0
 
 
 @pytest.mark.parametrize("spec, beta, epsilons, message", [
@@ -409,6 +435,11 @@ def test_chain_sweep_reads_the_single_pair_chains(kind, n, seed, data):
             assert (d_eps[k], metric(k)) == ch.chain_metric(space, e, x, y)
             assert (hops[k], fewest(k)) == ch.min_chain_count(space, e, x, y)
             assert {type(v) for v in metric(k) + fewest(k)} <= {int}
+            # numpy ids give the same chains, of Python ints too
+            wm = ch.chain_metric(space, e, np.int64(x), np.int64(y))[1]
+            wh = ch.min_chain_count(space, e, np.int64(x), np.int64(y))[1]
+            assert (wm, wh) == (metric(k), fewest(k))
+            assert {type(v) for v in wm + wh} <= {int}
 
 
 @pytest.mark.parametrize("suite, builds, searches", [
@@ -460,6 +491,9 @@ def spaces_with_ties(draw):
 
 
 @given(spaces_with_ties())
+@example((sp.build_space({"type": "euclidean", "coords": [0.0]}), 1.0))  # one point
+@example((unit_line(5), 0.5))  # eps below every distance: no edge
+@example((unit_line(5), 9.0))  # eps above the diameter: the complete graph
 @settings(max_examples=150, deadline=None)
 def test_build_equals_the_dense_reference(case):
     space, eps = case

@@ -29,6 +29,10 @@ def test_build_net_with_include_set():
     net = nt.build_net(space, 2.0, include=[1, 10])
     assert 1 in net.members and 10 in net.members
     net.certify()
+    # numpy ids, and an array of them (its truth value was ambiguous), give Python ints
+    for numpy_ids in ([np.int64(1), np.int64(10)], np.array([1, 10])):
+        members = nt.build_net(space, 2.0, include=numpy_ids).members
+        assert members == net.members and {type(v) for v in members} <= {int}
 
 
 def test_build_net_rejects_close_include():
@@ -111,6 +115,8 @@ def loop_certify_error(space, epsilon, members):
        st.one_of(st.none(), st.lists(st.integers(0, 10 ** 6), min_size=1, max_size=12)),
        st.integers(1, 64))
 @example("line", 11, 0, 2.0, None, 1 << 17)  # one block, a certified net
+@example("path", 12, 0, 3.0, [5], 64)  # a single member
+@example("path", 12, 0, 3.0, [0, 1, 5, 2, 2, 11, 4], 1)  # one member row per block
 @settings(max_examples=200, deadline=None)
 def test_close_pairs_and_certify_match_the_pair_loops(kind, n, seed, eps, picks, block):
     # arbitrary member sets, repeats included (None: the greedy net, reversed);
