@@ -18,7 +18,7 @@ import scipy.sparse as sp
 import scipy.sparse.csgraph as csgraph
 
 from ._report import Rows
-from .space import FiniteMetricMeasureSpace, check_ids
+from .space import FiniteMetricMeasureSpace, _pair_ids, check_ids
 
 
 class ChainError(ValueError):
@@ -110,14 +110,10 @@ def _walk_predecessors(pred, source: int, target: int) -> list[int]:
     return path[::-1]
 
 
-def _shortest_chain(space, epsilon, x, y, index, weighted):
+def _shortest_chain(index: ProximityIndex, x: int, y: int, weighted: bool):
     """Least eps-chain length (a float) if weighted, else hop count (an int),
-    and a witness; 0 when x == y, inf and [] when no eps-chain joins them."""
-    check_ids(space, x, y)
-    if index is None:
-        index = ProximityIndex.build(space, epsilon)
-    elif index.space is not space or index.epsilon != epsilon:
-        raise ChainError("proximity index was built for another space or epsilon")
+    and a witness, from one single-source search of ``index``; 0 when x == y,
+    inf and [] when no eps-chain joins them.  The ids are the caller's to check."""
     x, y, value = int(x), int(y), float if weighted else int
     if x == y:
         return value(0), [x]
@@ -128,23 +124,30 @@ def _shortest_chain(space, epsilon, x, y, index, weighted):
 
 
 def chain_metric(space: FiniteMetricMeasureSpace, epsilon: float, x: int,
-                 y: int, index: ProximityIndex | None = None) -> tuple[float, list[int]]:
+                 y: int) -> tuple[float, list[int]]:
     """d_eps(x, y) and an optimal witness chain (empty when disconnected)."""
-    return _shortest_chain(space, epsilon, x, y, index, weighted=True)
+    check_ids(space, x, y)
+    return _shortest_chain(ProximityIndex.build(space, epsilon), x, y, weighted=True)
 
 
 def min_chain_count(space: FiniteMetricMeasureSpace, epsilon: float, x: int,
-                    y: int, index: ProximityIndex | None = None) -> tuple[float, list[int]]:
+                    y: int) -> tuple[float, list[int]]:
     """N_eps(x, y) and a hop-minimal witness; 0 when x == y."""
-    return _shortest_chain(space, epsilon, x, y, index, weighted=False)
+    check_ids(space, x, y)
+    return _shortest_chain(ProximityIndex.build(space, epsilon), x, y, weighted=False)
 
 
 def analyze_pair(space: FiniteMetricMeasureSpace, epsilon: float, x: int,
                  y: int, index: ProximityIndex | None = None) -> ChainAnalysis:
-    if index is None:  # one index for both searches
+    """The verified d_eps and N_eps of (x, y) with their witnesses, both read
+    from one index: ``index`` (built on this space at this epsilon) or a new one."""
+    check_ids(space, x, y)
+    if index is None:
         index = ProximityIndex.build(space, epsilon)
-    d_eps, wm = chain_metric(space, epsilon, x, y, index)
-    n_eps, wh = min_chain_count(space, epsilon, x, y, index)
+    elif index.space is not space or index.epsilon != epsilon:
+        raise ChainError("proximity index was built for another space or epsilon")
+    d_eps, wm = _shortest_chain(index, x, y, weighted=True)
+    n_eps, wh = _shortest_chain(index, x, y, weighted=False)
     analysis = ChainAnalysis(x=int(x), y=int(y), epsilon=epsilon, d_eps=d_eps,
                              n_eps=n_eps, witness_metric=wm, witness_hops=wh)
     analysis.verify(space)
@@ -210,9 +213,7 @@ def main_inequality_scan(space: FiniteMetricMeasureSpace, psi, pairs,
     are counted and skipped.  Also tabulates psi(eps) d_eps / eps per eps (the
     vanishing functional whose trend is reported, not its limit).
     """
-    pairs = np.asarray(pairs).reshape(-1, 2)
-    check_ids(space, pairs)  # before the cast, which would truncate 3.7 to 3
-    xs, ys = pairs.astype(int, copy=False).T
+    xs, ys = _pair_ids(space, pairs)
     d = space.dist[xs, ys]
     worst = 0.0
     argmax = None
@@ -263,9 +264,7 @@ def chain_condition_estimate(space: FiniteMetricMeasureSpace, epsilons,
     """
     if pairs is None:
         pairs = np.transpose(np.triu_indices(space.n, 1))
-    pairs = np.asarray(pairs).reshape(-1, 2)
-    check_ids(space, pairs)
-    xs, ys = pairs.astype(int, copy=False).T
+    xs, ys = _pair_ids(space, pairs)
     xs, ys = xs[xs != ys], ys[xs != ys]
     d = space.dist[xs, ys]
 
@@ -293,7 +292,8 @@ def chain_condition_estimate(space: FiniteMetricMeasureSpace, epsilons,
 def _d_eps_steps(space: FiniteMetricMeasureSpace, breaks, x: int, y: int,
                  below=lambda j, d_eps: j - 1):
     """Yield (j, k, d_eps) from the top down: d_eps(x, y) is that float on the
-    intervals j..k of ``breaks`` (see ``d_eps_step_function``); x != y.
+    intervals j..k of ``breaks`` (see ``d_eps_step_function``); x != y are
+    checked ids.  Each step searches the narrowed index itself.
 
     The optimal witness at interval k has longest hop breaks[j]; each edge set
     {d <= breaks[i]}, j <= i <= k, keeps that witness and adds no path, so
@@ -305,7 +305,7 @@ def _d_eps_steps(space: FiniteMetricMeasureSpace, breaks, x: int, y: int,
     while k >= 0:
         eps = np.nextafter(breaks[k], math.inf)
         index = ProximityIndex.build(space, eps) if index is None else index._narrowed(eps)
-        d_eps, witness = chain_metric(space, index.epsilon, x, y, index)
+        d_eps, witness = _shortest_chain(index, x, y, weighted=True)
         if math.isinf(d_eps):
             return
         j = int(np.searchsorted(breaks, space.dist[witness[:-1], witness[1:]].max()))

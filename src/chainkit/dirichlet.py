@@ -24,7 +24,7 @@ import scipy.sparse.csgraph as csgraph
 import scipy.sparse.linalg as spla
 from scipy.linalg import eigh
 
-from .space import sorted_profiles
+from .space import check_ids, sorted_profiles
 
 BLOCK_ENTRIES = 1 << 17  # entries of one block temporary (1 MB of float64)
 
@@ -175,16 +175,17 @@ def capacity(form: GraphDirichletForm, A, B) -> tuple[float, np.ndarray]:
     touching neither A nor B get a constant potential and contribute no
     energy.
     """
-    A = np.asarray(sorted(set(A)), dtype=int)
-    B = np.asarray(sorted(set(B)), dtype=int)
-    if A.size == 0 or B.size == 0:
+    n, A, B = form.n, sorted(set(A)), sorted(set(B))
+    if not A or not B:
         raise DirichletFormError("A and B must be nonempty")
+    # checked before the int cast, which would read 0.5 as 0 and True as 1
+    bad = [v for v in sorted(A + B) if isinstance(v, (bool, np.bool_))
+           or not isinstance(v, (int, np.integer)) or not 0 <= v < n]
+    if bad:
+        raise DirichletFormError(f"A and B must be vertex ids in 0..{n - 1}; got {bad[0]}")
+    A, B = np.asarray(A, dtype=int), np.asarray(B, dtype=int)
     if np.intersect1d(A, B).size:
         raise DirichletFormError("A and B must be disjoint")
-    n = form.n
-    outside = np.setdiff1d(np.r_[A, B], np.arange(n))
-    if outside.size:
-        raise DirichletFormError(f"A and B must be vertex ids in 0..{n - 1}; got {outside[0]}")
     f = np.zeros(n)
     f[A] = 1.0
 
@@ -204,15 +205,15 @@ def capacity(form: GraphDirichletForm, A, B) -> tuple[float, np.ndarray]:
 def truncated_maximal(space, nu: np.ndarray, x, R: float):
     """sup over 0 < r < R of nu(B(x,r)) / m(B(x,r)) (strict balls).
 
-    ``space`` is a FiniteMetricMeasureSpace (or any object with ``dist`` and
-    ``measure``).  The sup is exact: balls change only at the distinct
-    distances from x, so it suffices to scan those below R.  An array of
-    centres gives one value per centre, read from blocks of sorted rows.
+    The sup is exact: balls change only at the distinct distances from x, so
+    it suffices to scan those below R.  An array of centres gives one value
+    per centre, read from blocks of sorted rows.
     """
     if not R > 0:  # NaN fails too
         raise DirichletFormError("R must be positive")
-    nu = np.asarray(nu, dtype=float)
     centres = np.atleast_1d(x)
+    check_ids(space, centres if np.ndim(x) else x)
+    nu = np.asarray(nu, dtype=float)
     out = np.empty(centres.size)
     # a block's sort and sums hold about nine temporaries the size of its rows
     for sl in row_blocks(centres.size, 9 * space.measure.size):
@@ -235,6 +236,9 @@ def poincare_constant(space, psi, x: int, r: float) -> float:
     """
     if space.graph is None:
         raise DirichletFormError("the Poincare constant needs a graph-backed space")
+    check_ids(space, x)
+    if not r > 0:  # NaN fails too
+        raise DirichletFormError("r must be positive")
     inner = np.flatnonzero(space.dist[x] < r)
     outer = np.flatnonzero(space.dist[x] < 2.0 * r)
     if inner.size <= 1:
@@ -311,6 +315,10 @@ def load_graph_csv(edge_path, vertex_path=None) -> GraphDirichletForm:
         ids = _vertex_ids(vrows[:, 0], "vertex file")
         if ((ids < 0) | (ids >= n)).any():
             raise DirichletFormError(f"vertex file has an id outside 0..{n - 1}")
+        listed, count = np.unique(ids, return_counts=True)
+        if (count > 1).any():  # a later row would overwrite the mass
+            raise DirichletFormError(
+                f"vertex file lists vertex {listed[np.argmax(count > 1)]} more than once")
         measure[ids] = vrows[:, 1]
     return GraphDirichletForm(w, measure, lengths)
 

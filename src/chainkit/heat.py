@@ -26,7 +26,7 @@ from scipy.linalg import eigh
 
 from .chain import _walk_predecessors, chain_metric, epsilon_of_t
 from .dirichlet import DirichletFormError, GraphDirichletForm
-from .space import ball_volume, distance_profile
+from .space import _pair_ids, ball_volume, check_ids, distance_profile
 
 # candidate walk exponents for envelope fitting; brackets the Gaussian case
 # and the gasket value log5/log2
@@ -75,8 +75,9 @@ class _LazyKernels(Mapping):
 
 @dataclass
 class HeatKernelTable:
-    """p_t(x, y) over a time grid, held as spectral data: each n x n matrix
-    in ``kernels`` is computed from the eigenpairs on first read, then kept."""
+    """p_t(x, y) over a time grid (``times``: one copy of each, ascending, as
+    the keys of ``kernels``), held as spectral data: each n x n matrix in
+    ``kernels`` is computed from the eigenpairs on first read, then kept."""
 
     form: GraphDirichletForm
     times: np.ndarray
@@ -137,7 +138,7 @@ def heat_kernel(form: GraphDirichletForm, times, verify: bool = True) -> HeatKer
     n = form.n
     if n > 3000:
         raise HeatError("dense eigendecomposition is limited to n <= 3000")
-    times = np.sort(np.asarray(times, dtype=float))
+    times = np.unique(np.asarray(times, dtype=float))  # one copy of each time, ascending
     if not ((times > 0) & (times < np.inf)).all():  # NaN fails too
         raise HeatError("times must be finite and positive")
     if not form.is_connected():
@@ -204,12 +205,13 @@ def sub_gaussian_fit(table: HeatKernelTable, dist: np.ndarray,
     diam = float(dist[np.isfinite(dist)].max())
     if pairs is None:
         pairs = [(0, y) for y in range(dist.shape[0]) if dist[0, y] > 0]
-    pairs = [(x, y) for x, y in pairs if 0 < dist[x, y] <= (1 - BOUNDARY_EXCLUSION) * diam]
-    ds = np.array([dist[x, y] for x, y in pairs])
+    xs, ys = _pair_ids(table.form, pairs)
+    ds = dist[xs, ys]
+    keep = (0 < ds) & (ds <= (1 - BOUNDARY_EXCLUSION) * diam)
+    xs, ys, ds = xs[keep], ys[keep], ds[keep]
     if ds.size == 0 or ds.max() / ds.min() < 9.9:
         raise HeatError("fit requires pairs spanning >= 1 decade of distance")
 
-    xs, ys = np.array(pairs).T
     centres, cidx = np.unique(xs, return_inverse=True)
     profiles = [distance_profile(dist[x], m) for x in centres]
 
@@ -223,7 +225,7 @@ def sub_gaussian_fit(table: HeatKernelTable, dist: np.ndarray,
 
     # K[t, j] = p_t(x_j, y_j); V[c, b, t] = V(centre c, t^(1/beta_b))
     ball_radii = times ** (1.0 / np.asarray(beta_grid, dtype=float)[:, None])
-    K = np.empty((times.size, len(pairs)))
+    K = np.empty((times.size, xs.size))
     V = np.empty((centres.size,) + ball_radii.shape)
     for c, x in enumerate(centres):
         on, rows = cidx == c, table.rows(x, times)
@@ -280,6 +282,7 @@ def chaining_lower_bound(table: HeatKernelTable, dist: np.ndarray, x: int,
         raise HeatError("time must be finite and positive")
     if not isinstance(n, (int, np.integer)) or n < 1:
         raise HeatError("chain length must be an integer >= 1")
+    check_ids(table.form, x, y)
     h = 8.0 * (t / n) ** 0.5
     lam, phi = table.eigenvalues, table.eigenfunctions
     if n == 1:
@@ -367,6 +370,7 @@ def mean_exit_time(form: GraphDirichletForm, x: int, r: float) -> float:
     outside, by an exact linear solve; raises when the ball is the whole graph."""
     if not r > 0:  # NaN fails too
         raise HeatError("radii must be positive")
+    check_ids(form, x)
     return _exit_time(form.laplacian().tocsr(), form.vertex_measure,
                       csgraph.dijkstra(form.lengths, directed=False, indices=x), x, r)
 
@@ -383,6 +387,7 @@ def exit_time_walk_dimension(form: GraphDirichletForm, centers, radii) -> dict:
         raise HeatError("radii must be positive")
     if radii[-1] / radii[0] < 9.9:
         raise HeatError("radii must span at least one decade")
+    check_ids(form, *centers)
     L, m = form.laplacian().tocsr(), form.vertex_measure
     rows = []
     for x in centers:

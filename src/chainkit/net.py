@@ -133,7 +133,6 @@ class PartitionOfUnity:
     ``energies[i]`` belong to the i-th member in ascending id order."""
 
     net: EpsilonNet
-    form: df.GraphDirichletForm
     psi: sp.csr_matrix
     energies: np.ndarray
 
@@ -170,17 +169,17 @@ def column_sums(psi: sp.csr_matrix) -> np.ndarray:
     return total
 
 
-def build_partition(space: FiniteMetricMeasureSpace, net: EpsilonNet) -> PartitionOfUnity:
+def build_partition(net: EpsilonNet) -> PartitionOfUnity:
     """Bump functions phi_z = clamp(1 - d(p, R_z)/(eps/4), 0, 1), normalized.
 
-    Requires a graph-backed space (the energies are graph Dirichlet
-    energies).  Every point lies in its owner's cell, so the normalizing
+    Requires the net's space to be graph-backed (the energies are graph
+    Dirichlet energies).  Every point lies in its owner's cell, so the normalizing
     denominator is at least 1 everywhere.  The bumps are computed in blocks
     of member rows, and only their nonzeros are kept.
     """
+    space, eps = net.space, net.epsilon
     if space.graph is None:
         raise NetError("partition of unity requires a graph-backed space")
-    eps = net.epsilon
     owner = net.voronoi if net.voronoi is not None else voronoi_assign(net)
     mem = np.asarray(sorted(net.members))
     # row i lists the points of R_z, padded to the largest cell with its first
@@ -206,28 +205,23 @@ def build_partition(space: FiniteMetricMeasureSpace, net: EpsilonNet) -> Partiti
     if (denom <= 0).any():
         raise AssertionError("partition denominator vanished; net is not maximal")
     psi.data /= denom[psi.indices]
-    pou = PartitionOfUnity(net=net, form=space.graph, psi=psi,
-                           energies=df.energy(space.graph, psi))
+    pou = PartitionOfUnity(net=net, psi=psi, energies=df.energy(space.graph, psi))
     pou.verify()
     return pou
 
 
-def partition_energy_report(space: FiniteMetricMeasureSpace,
-                            pou: PartitionOfUnity, psi_scale) -> dict:
-    """Compare E(psi_z, psi_z) with m(B(z, eps)) / Psi(eps) per member."""
-    eps = pou.net.epsilon
+def partition_energy_report(pou: PartitionOfUnity, psi_scale) -> float:
+    """The partition constant: the largest E(psi_z, psi_z) / (m(B(z, eps)) / Psi(eps))
+    over the members z."""
+    space, eps = pou.net.space, pou.net.epsilon
     psi_eps = psi_scale(eps)
     mem = sorted(pou.net.members)
-    rows = []
     worst = 0.0
     for sl in df.row_blocks(len(mem), space.n):  # one ball mask per block of member rows
-        for z, E, inside in zip(mem[sl], pou.energies[sl].tolist(), space.dist[mem[sl]] < eps):
-            vol = float(space.measure[inside].sum())  # in index order, as ball_volume sums
-            bound_core = vol / psi_eps
-            ratio = E / bound_core if bound_core > 0 else math.inf
-            rows.append({"member": int(z), "energy": E, "volume": vol, "ratio": ratio})
-            worst = max(worst, ratio)
-    return {"constant": worst, "table": rows}
+        for E, inside in zip(pou.energies[sl].tolist(), space.dist[mem[sl]] < eps):
+            bound_core = float(space.measure[inside].sum()) / psi_eps  # summed as ball_volume
+            worst = max(worst, E / bound_core if bound_core > 0 else math.inf)
+    return worst
 
 
 @dataclass
@@ -281,7 +275,7 @@ def proof_replay(space: FiniteMetricMeasureSpace, psi_scale, x: int, y: int,
     i, j = close_pairs(space.dist, mem, epsilon)
     lipschitz_ok = not (np.abs(hops[mem[i]] - hops[mem[j]]) > 1).any()  # False: a chain-count bug
 
-    pou = build_partition(space, net)
+    pou = build_partition(net)
     rows = pou.psi[np.searchsorted(mem, net.members)]  # a copy, rows in net order
     rows.data *= np.repeat([u_hat[z] for z in net.members], np.diff(rows.indptr))
     u = column_sums(rows)  # sum of u_hat(z) psi_z, added in net order
@@ -305,7 +299,6 @@ def proof_replay(space: FiniteMetricMeasureSpace, psi_scale, x: int, y: int,
 
     n_eps_xy = u_hat[y]
     recovered_constant = (n_eps_xy ** 2) * psi_scale(epsilon) / psi_scale(d_xy)
-    part = partition_energy_report(space, pou, psi_scale)
 
     return ReplayReport(
         x=x, y=y, epsilon=epsilon, eps_prime=eps_prime, n_eps_xy=n_eps_xy,
@@ -313,5 +306,5 @@ def proof_replay(space: FiniteMetricMeasureSpace, psi_scale, x: int, y: int,
         max_maximal_function=max_M, maximal_constant=maximal_constant,
         two_point=two_point, recovered_constant=recovered_constant,
         recovered_ok=n_eps_xy ** 2 <= recovered_constant * psi_scale(d_xy) / psi_scale(epsilon) * (1 + 1e-12),
-        partition_constant=part["constant"], u=u,
+        partition_constant=partition_energy_report(pou, psi_scale), u=u,
     )

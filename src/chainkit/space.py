@@ -8,6 +8,7 @@ actually change; the scans are therefore exact, not approximate.
 
 from __future__ import annotations
 
+import itertools
 import json
 import warnings
 from dataclasses import dataclass, field
@@ -157,10 +158,35 @@ def check_ids(space: FiniteMetricMeasureSpace, *ids) -> None:
             raise SpaceError(f"unknown point id {i}")
 
 
+def _pair_ids(space, pairs) -> tuple[np.ndarray, np.ndarray]:
+    """The checked ids (xs, ys) of ``pairs``: a (k, 2) array, or rows of two
+    ids whose entries are typed before any conversion (np.asarray would turn a
+    bool among ints into an int); rows of Python ints are read in one flat pass."""
+    arr = pairs
+    if not isinstance(pairs, np.ndarray):
+        try:
+            kinds = {(type(x), type(y)) for x, y in pairs}
+        except (TypeError, ValueError):  # a row that is not two entries
+            row = next(r for r in pairs if np.ndim(r) != 1 or len(r) != 2)
+            raise SpaceError(f"a pair must be a row of two point ids; got {row!r}") from None
+        if any(issubclass(k, (bool, np.bool_)) for kind in kinds for k in kind):
+            v = next(v for row in pairs for v in row if isinstance(v, (bool, np.bool_)))
+            raise SpaceError(f"point id {v} is not an integer")
+        flat = itertools.chain.from_iterable(pairs)
+        arr = (np.fromiter(flat, int, 2 * len(pairs)).reshape(-1, 2) if kinds == {(int, int)}
+               else np.asarray(pairs))
+    if not arr.size:
+        return np.empty((2, 0), int)
+    if arr.ndim != 2 or arr.shape[1] != 2:
+        raise SpaceError(f"pairs must be a (k, 2) array of point ids; got shape {arr.shape}")
+    check_ids(space, arr)  # before the cast, which would truncate 3.7 to 3
+    return arr.astype(int, copy=False).T
+
+
 def ball(space: FiniteMetricMeasureSpace, x: int, r: float) -> np.ndarray:
     """Indices of the open ball B(x, r); always contains x for r > 0."""
     check_ids(space, x)
-    if r <= 0:
+    if not r > 0:  # NaN fails too
         raise SpaceError("ball radius must be positive")
     return np.flatnonzero(space.dist[x] < r)
 

@@ -33,10 +33,8 @@ def test_proximity_edges_are_strict():
 
 
 @pytest.mark.parametrize("call, other_space", [
-    (ch.min_chain_count, False),  # read N_1.5 = 5 off the eps = 2.5 graph
-    (ch.chain_metric, False),  # returned a witness with hops of 2 >= 1.5
     (ch.analyze_pair, False),  # raised "witness hop at or above epsilon"
-    (ch.chain_metric, True),  # returned (inf, [])
+    (ch.analyze_pair, True),  # an equal line's index: not this space's own
 ])
 def test_a_proximity_index_for_another_epsilon_or_space_is_an_error(call, other_space):
     line = unit_line(11)
@@ -44,7 +42,7 @@ def test_a_proximity_index_for_another_epsilon_or_space_is_an_error(call, other_
         ch.ProximityIndex.build(line, 2.5)
     with pytest.raises(ch.ChainError, match="another space or epsilon"):
         call(line, 1.5, 0, 10, index)
-    assert ch.min_chain_count(line, 1.5, 0, 10, ch.ProximityIndex.build(line, 1.5))[0] == 10
+    assert call(line, 1.5, 0, 10, ch.ProximityIndex.build(line, 1.5)).n_eps == 10
 
 
 def test_chain_metric_on_line_equals_distance():
@@ -144,11 +142,30 @@ def test_chain_condition_estimate_names_the_first_id_outside_the_space(pairs, ba
     (lambda line: list(ch.pair_analyses(line, [1.5], np.array([0.0, 1.0]),
                                         np.array([2.0, 4.0]))), "0.0"),  # IndexError
     (lambda line: sp.ball(line, 2.5, 1.0), "2.5"),  # IndexError
+    # np.asarray turned the bool among ints into 1: a table row for pair (1, 3)
+    (lambda line: ch.main_inequality_scan(line, power_scale(2.0), [(True, 3)], [1.5]), "True"),
+    (lambda line: ch.chain_condition_estimate(line, [1.5], [[0, 4], [np.True_, 3]]), "True"),
 ], ids=["scan", "condition", "metric-float", "metric-bool", "count-numpy-bool", "net-include",
-        "pair-analyses", "ball"])
+        "pair-analyses", "ball", "scan-bool-among-ints", "condition-bool-among-ints"])
 def test_an_id_that_is_not_an_integer_is_an_error(call, bad):
     with pytest.raises(sp.SpaceError, match=f"^point id {bad} is not an integer$"):
         call(unit_line(5))
+
+
+@pytest.mark.parametrize("pairs, message", [
+    ([(0, 4, 2, 3)], "a pair must be a row of two point ids; got (0, 4, 2, 3)"),  # (0, 4), (2, 3)
+    ([(0, 1, 2)], "a pair must be a row of two point ids; got (0, 1, 2)"),  # cannot reshape
+    ([(0, 1), 3], "a pair must be a row of two point ids; got 3"),  # inhomogeneous shape
+    (np.array([[0, 1, 2]]), "pairs must be a (k, 2) array of point ids; got shape (1, 3)"),
+], ids=["row-of-four", "row-of-three", "an-int-row", "array-of-three-columns"])
+@pytest.mark.parametrize("call", [
+    lambda line, pairs: ch.main_inequality_scan(line, power_scale(2.0), pairs, [1.5]),
+    lambda line, pairs: ch.chain_condition_estimate(line, [1.5], pairs),
+], ids=["scan", "condition"])
+def test_a_pair_list_that_is_not_rows_of_two_ids_is_an_error(call, pairs, message):
+    with pytest.raises(sp.SpaceError) as err:
+        call(unit_line(5), pairs)
+    assert str(err.value) == message
 
 
 def test_an_empty_pair_list_is_accepted():

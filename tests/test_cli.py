@@ -318,6 +318,19 @@ def test_vertex_file_needs_two_columns(path_csv, tmp_path, capsys, rows):
     assert "vertex file must have 2 columns" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["heat", "--times", "1"],
+    ["dirichlet", "cap", "--A", "0", "--B", "10"],
+    ["replay", "--x", "0", "--y", "10", "--eps", "3"],
+], ids=["heat", "dirichlet", "replay"])
+def test_a_vertex_file_that_lists_an_id_twice_is_an_error(path_csv, tmp_path, capsys, argv):
+    # the last row won: vertex 0 got mass 5, and each command exited 0
+    masses = tmp_path / "m.csv"
+    masses.write_text("0,1\n0,5\n2,1\n")
+    assert main(argv + ["--graph", path_csv, "--vertices", str(masses)]) == 1
+    assert "vertex file lists vertex 0 more than once" in capsys.readouterr().err
+
+
 def test_duplicate_csv_edge_is_an_error(tmp_path, capsys):
     graph = tmp_path / "dup.csv"
     graph.write_text("0,1,1.0\n1,2,1.0\n1,0,1.0\n")
@@ -414,6 +427,15 @@ def test_heat_subcommand_writes_csv(path_csv, tmp_path, capsys):
     assert out_csv.exists()
     rows = out_csv.read_text().strip().split("\n")
     assert len(rows) == 2 * 11
+
+
+def test_heat_keeps_one_copy_of_each_time(path_csv, tmp_path, capsys):
+    # "times" listed 1 twice, over two diagonals and 2n rows
+    out_csv = tmp_path / "kernels.csv"
+    assert main(["heat", "--graph", path_csv, "--times", "1,0.5,1", "--out", str(out_csv)]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["times"] == [0.5, 1] and list(out["diagonal"]) == ["0.5", "1"]
+    assert len(out_csv.read_text().splitlines()) == 2 * 11
 
 
 def test_heat_csv_bytes_match_the_per_entry_loop(tmp_path):

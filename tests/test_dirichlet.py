@@ -72,6 +72,27 @@ def test_capacity_overlapping_sets_rejected():
         df.capacity(df.path_graph(3), [0, 1], [1, 2])
 
 
+@pytest.mark.parametrize("call, error, message", [
+    (lambda s: df.poincare_constant(s, power_scale(2.0), 7, 1.5), sp.SpaceError,
+     "unknown point id 7"),  # IndexError
+    (lambda s: df.poincare_constant(s, power_scale(2.0), -1, 1.5), sp.SpaceError,
+     "unknown point id -1"),  # read vertex 4
+    (lambda s: df.poincare_constant(s, power_scale(2.0), 0, math.nan), df.DirichletFormError,
+     "r must be positive"),  # returned 0.0
+    (lambda s: df.truncated_maximal(s, np.ones(5), -1, 3.0), sp.SpaceError,
+     "unknown point id -1"),  # read vertex 4
+    (lambda s: df.capacity(s.graph, [0.5], [4]), df.DirichletFormError,
+     "A and B must be vertex ids in 0..4; got 0.5"),  # computed with A = {0}
+    (lambda s: df.capacity(s.graph, [True], [4]), df.DirichletFormError,
+     "A and B must be vertex ids in 0..4; got True"),  # computed with A = {1}
+], ids=["poincare-past-n", "poincare-negative", "poincare-nan-radius", "maximal-negative",
+        "capacity-float", "capacity-bool"])
+def test_ids_and_radii_are_checked_where_they_enter_dirichlet(call, error, message):
+    with pytest.raises(error) as err:
+        call(sp.space_from_graph(df.path_graph(5)))
+    assert str(err.value) == message
+
+
 def test_truncated_maximal_hand_value():
     # path P5, nu concentrated at the center: at x=2 the sup over r < R of
     # nu(B)/m(B) is nu({2})/m({2}) = 1 at r -> 0+
@@ -205,8 +226,10 @@ def test_load_graph_csv_with_vertex_file(tmp_path):
     ("0,1,1.0\n-1,2,1.0\n", None, "negative vertex id"),
     ("0,1,1.0\n1,2,1.0\n", "0,1.0\n-1,2.0\n", "outside 0..2"),
     ("0,1,1.0\n1,2,1.0\n", "3,1.0\n", "outside 0..2"),
+    # the last row won: vertex 0 got mass 5
+    ("0,1,1.0\n1,2,1.0\n", "0,1\n0,5\n2,1\n", "vertex file lists vertex 0 more than once"),
 ], ids=["duplicate", "duplicate-reversed", "negative-edge-id", "negative-vertex-id",
-        "vertex-id-past-n"])
+        "vertex-id-past-n", "duplicate-vertex-id"])
 def test_load_graph_csv_rejects_bad_ids(tmp_path, edges, verts, message):
     edge_path = tmp_path / "edges.csv"
     edge_path.write_text(edges)

@@ -527,6 +527,34 @@ def test_mean_exit_time_single_vertex_ball():
     assert ht.mean_exit_time(form, 0, 1.0) == pytest.approx(1.0)
 
 
+def _cycle_table(n):
+    form = cycle_graph(n)
+    table = ht.heat_kernel(form, np.geomspace(0.5, 500.0, 10), verify=False)
+    return table, form.geodesic_distances()
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: ht.mean_exit_time(path_graph(41), -1, 2.0), "unknown point id -1"),  # 2.0
+    (lambda: ht.exit_time_walk_dimension(path_graph(41), [-1], [2.0, 4.0, 20.0]),
+     "unknown point id -1"),  # reported centre -1
+    (lambda: ht.exit_time_walk_dimension(path_graph(41), [1.5], [2.0, 4.0, 20.0]),
+     "point id 1.5 is not an integer"),  # read centre 1.5 and reported it as centre 1
+    (lambda: ht.chaining_lower_bound(*_cycle_table(40), -1, 20, 4.0, 2),
+     "unknown point id -1"),  # a bare IndexError
+    (lambda: ht.sub_gaussian_fit(*_cycle_table(60), pairs=[(-60, y) for y in range(1, 30)]),
+     "unknown point id -60"),  # read vertex 0
+], ids=["exit-time", "walk-dimension", "walk-dimension-float", "chaining", "fit-pairs"])
+def test_vertex_ids_are_checked_where_they_enter_heat(call, message):
+    with pytest.raises(sp.SpaceError) as err:
+        call()
+    assert str(err.value) == message
+
+
+def test_heat_kernel_keeps_one_copy_of_each_time():
+    table = ht.heat_kernel(path_graph(3), [1.0, 0.5, 1.0])
+    assert table.times.tolist() == list(table.kernels) == [0.5, 1.0]
+
+
 def test_mean_exit_time_interval_profile():
     # interval {d < r} around the center of a long path: the discrete
     # quadratic profile u(j) = (r^2 - j^2)/2 gives E = r^2 / 2 at the center

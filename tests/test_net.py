@@ -152,7 +152,7 @@ def test_voronoi_ties_to_smallest_id():
 def test_partition_of_unity_properties():
     space = sp.space_from_graph(path_graph(21))
     net = nt.build_net(space, 4.0)
-    pou = nt.build_partition(space, net)
+    pou = nt.build_partition(net)
     pou.verify()
     assert sps.isspmatrix_csr(pou.psi)
     psi = pou.psi.toarray()
@@ -186,7 +186,7 @@ def loop_verify_error(net, psis):
 def test_partition_disjointness_matches_pairwise_loop(graph, eps):
     form = path_graph(41) if graph == "path-41" else sierpinski_gasket_graph(4)
     space = sp.space_from_graph(form)
-    pou = nt.build_partition(space, nt.build_net(space, eps))
+    pou = nt.build_partition(nt.build_net(space, eps))
     members = sorted(pou.net.members)
     assert loop_verify_error(pou.net, dict(zip(members, pou.psi.toarray()))) is None
     rng = np.random.default_rng(5)
@@ -205,7 +205,7 @@ def test_partition_disjointness_matches_pairwise_loop(graph, eps):
             i1, i2 = rng.choice(near, 2, replace=False)
             psi[i1, v] += 0.5
             psi[i2, v] -= 0.5
-        bad = nt.PartitionOfUnity(net=pou.net, form=form, psi=sps.csr_matrix(psi),
+        bad = nt.PartitionOfUnity(net=pou.net, psi=sps.csr_matrix(psi),
                                   energies=pou.energies)
         expected = loop_verify_error(pou.net, dict(zip(members, psi)))
         if expected is None:
@@ -222,28 +222,29 @@ def test_partition_requires_graph_backing():
     space = unit_line(9)
     net = nt.build_net(space, 2.0)
     with pytest.raises(nt.NetError, match="graph-backed"):
-        nt.build_partition(space, net)
+        nt.build_partition(net)
 
 
 def test_partition_energy_report():
     space = sp.space_from_graph(path_graph(21))
     net = nt.build_net(space, 4.0)
-    pou = nt.build_partition(space, net)
-    rep = nt.partition_energy_report(space, pou, power_scale(2.0))
-    assert rep["constant"] > 0
-    assert len(rep["table"]) == len(net.members)
+    pou = nt.build_partition(net)
+    constant = nt.partition_energy_report(pou, power_scale(2.0))
+    assert type(constant) is float and constant > 0
+    energies = dict(zip(sorted(net.members), pou.energies.tolist()))
+    assert constant == loop_energy_report(space, net, energies, power_scale(2.0))
 
 
 def test_partition_energy_report_equals_the_member_loop_across_blocks(monkeypatch):
     form, _ = replay_graph("gasket", 4, 11, True)  # random masses: sums depend on order
     space = sp.space_from_graph(form)
     net = nt.build_net(space, 1.0)
-    pou = nt.build_partition(space, net)
+    pou = nt.build_partition(net)
     energies = dict(zip(sorted(net.members), pou.energies.tolist()))
     report = loop_energy_report(space, net, energies, power_scale(2.0))
     monkeypatch.setattr(df, "BLOCK_ENTRIES", 5 * space.n)  # blocks of 5 member rows
     assert len(df.row_blocks(len(net.members), space.n)) > 10
-    assert nt.partition_energy_report(space, pou, power_scale(2.0)) == report
+    assert nt.partition_energy_report(pou, power_scale(2.0)) == report
 
 
 def test_proof_replay_frozen_values():
@@ -293,8 +294,8 @@ def test_a_failed_plateau_check_exits_2(monkeypatch, tmp_path, capsys):
     # on that member's plateau
     build_partition = nt.build_partition
 
-    def halved(space, net):
-        pou = build_partition(space, net)
+    def halved(net):
+        pou = build_partition(net)
         lo, hi = pou.psi.indptr[-2:]
         pou.psi.data[lo:hi] /= 2
         return pou
@@ -391,15 +392,13 @@ def loop_partition(space, net):
 
 
 def loop_energy_report(space, net, energies, psi_scale):
+    """The partition constant as the member loop computed it."""
     eps = net.epsilon
-    rows, worst = [], 0.0
+    worst = 0.0
     for z, E in sorted(energies.items()):
-        vol = sp.ball_volume(space, z, eps)
-        bound_core = vol / psi_scale(eps)
-        ratio = E / bound_core if bound_core > 0 else float("inf")
-        rows.append({"member": int(z), "energy": E, "volume": vol, "ratio": ratio})
-        worst = max(worst, ratio)
-    return {"constant": worst, "table": rows}
+        bound_core = sp.ball_volume(space, z, eps) / psi_scale(eps)
+        worst = max(worst, E / bound_core if bound_core > 0 else float("inf"))
+    return worst
 
 
 def loop_replay(space, psi_scale, x, y, epsilon):
@@ -431,7 +430,7 @@ def loop_replay(space, psi_scale, x, y, epsilon):
         recovered_constant=recovered,
         recovered_ok=(n_eps_xy ** 2
                       <= recovered * psi_scale(d_xy) / psi_scale(epsilon) * (1 + 1e-12)),
-        partition_constant=report["constant"], u=u)
+        partition_constant=report, u=u)
     return fields, psis, energies, report
 
 
@@ -475,10 +474,10 @@ def test_proof_replay_equals_the_member_loops(kind, seed, weighted, eps):
         else:
             assert got == expected and type(got) is type(expected), name
     net = nt.build_net(space, eps / 3.0, include={x, y})
-    pou = nt.build_partition(space, net)
+    pou = nt.build_partition(net)
     assert np.array_equal(pou.psi.toarray(), np.array(list(psis.values())))
     assert np.array_equal(pou.energies, list(energies.values()))
-    assert nt.partition_energy_report(space, pou, psi) == report
+    assert nt.partition_energy_report(pou, psi) == report
 
 
 @given(st.sampled_from(["path", "gasket"]), st.integers(0, 10 ** 6),
@@ -505,7 +504,7 @@ def test_partition_verify_raises_the_member_loops_message(seed, changes, delta):
     space = sp.space_from_graph(form)
     eps = [1.0, 2.0, 3.0, 4.0][seed % 4]  # at 4, distances of eps/4 occur
     net = nt.build_net(space, eps)
-    pou = nt.build_partition(space, net)
+    pou = nt.build_partition(net)
     members = sorted(net.members)
     rng = np.random.default_rng(seed)
     psi = pou.psi.toarray()
@@ -515,7 +514,7 @@ def test_partition_verify_raises_the_member_loops_message(seed, changes, delta):
         v = rng.choice(np.flatnonzero(near))
         psi[i, v] += delta
         psi[j, v] -= delta
-    bad = nt.PartitionOfUnity(net=net, form=form, psi=sps.csr_matrix(psi),
+    bad = nt.PartitionOfUnity(net=net, psi=sps.csr_matrix(psi),
                               energies=pou.energies)
     expected = loop_verify_error(net, dict(zip(members, psi)))
     if expected is None:
@@ -557,7 +556,7 @@ def test_sparse_partition_and_blocked_owner_equal_the_dense_references(
         assert len(net.members) == space.n
     if case in ("path-41", "ties"):  # equidistant points go to the smallest member id
         assert has_ties(net)
-    pou = nt.build_partition(space, net)
+    pou = nt.build_partition(net)
     psis, energies = loop_partition(space, net)
     psi = np.array(list(psis.values()))
     assert sps.isspmatrix_csr(pou.psi) and pou.psi.nnz == np.count_nonzero(psi)

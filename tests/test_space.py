@@ -124,6 +124,13 @@ def test_ball_is_open():
         sp.ball(space, 2, 0.0)
 
 
+@pytest.mark.parametrize("read", [sp.ball, sp.ball_volume])
+def test_a_nan_radius_is_an_error(read):
+    # NaN compared False: an empty ball without its centre, and volume 0.0
+    with pytest.raises(sp.SpaceError, match="^ball radius must be positive$"):
+        read(unit_line(5), 0, float("nan"))
+
+
 def test_doubling_constant_hand_values():
     # single point: constant 1; star K_{1,n}: ratio (n+1)/1 realized at the hub
     single = sp.build_space({"type": "euclidean", "coords": [0.0]})
